@@ -8,9 +8,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
-
-#include "util/exec_space.hpp"
 
 namespace pyhpc::comm {
 
@@ -84,16 +81,6 @@ struct CommConfig {
   /// environment variable, which itself defaults to 1 (serial). comm::run
   /// installs this per rank thread via TaskPool::set_thread_default.
   int threads = 0;
-
-  /// Execution-space backend for this world's compute kernels (ufuncs,
-  /// fused eval, reductions, SpMV, relaxation sweeps — DESIGN.md §11):
-  /// kSerial (inline), kTaskPool (work-stealing pool, scalar loops), or
-  /// kTaskPoolSimd (pool scheduling + vectorized elementwise inner
-  /// loops). nullopt (default) defers to the PYHPC_EXEC_SPACE environment
-  /// variable, which itself defaults to kTaskPool. comm::run installs
-  /// this per rank thread via util::exec::set_thread_default; individual
-  /// kernels can still override per call.
-  std::optional<util::exec::Space> exec_space;
 
   /// Deterministic fault injection applied inside Context::deliver; null
   /// means no injection. Not inherited by split() children: rules address

@@ -12,7 +12,6 @@
 #include "obs/bridge.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
-#include "util/exec_space.hpp"
 #include "util/string_util.hpp"
 #include "util/task_pool.hpp"
 
@@ -162,12 +161,6 @@ CommStats run_impl(int nranks, const CommConfig& config,
     // Saved/restored because rank 0 shares the calling thread.
     const int saved_threads = util::TaskPool::thread_default();
     util::TaskPool::set_thread_default(config.threads);
-    // Same pattern for the kernel execution space: install the world's
-    // backend choice for this rank thread (nullopt keeps whatever
-    // PYHPC_EXEC_SPACE / an enclosing world already selected).
-    const bool set_space = config.exec_space.has_value();
-    const util::exec::Space saved_space = util::exec::default_space();
-    if (set_space) util::exec::set_thread_default(*config.exec_space);
     try {
       Communicator comm(ctx, rank);
       fn(comm);
@@ -183,7 +176,6 @@ CommStats run_impl(int nranks, const CommConfig& config,
     } catch (...) {
       record_failure(rank);
     }
-    if (set_space) util::exec::set_thread_default(saved_space);
     util::TaskPool::set_thread_default(saved_threads);
     ctx->mark_done(rank);
   };

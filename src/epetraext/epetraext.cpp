@@ -116,6 +116,12 @@ Matrix read_matrix_market(comm::Communicator& comm, const std::string& path) {
     double v = 0.0;
     in >> r >> c >> v;
     require(!in.fail(), "read_matrix_market: truncated entry list");
+    // Checked on every rank before the ownership test: an out-of-range
+    // row is owned by no rank, so only this check can reject it.
+    require(r >= 1 && r <= nrows && c >= 1 && c <= ncols,
+            util::cat("read_matrix_market: entry ", k + 1, " (", r, ", ", c,
+                      ") lies outside the ", nrows, " x ", ncols,
+                      " matrix"));
     if (map.is_local_global_index(r - 1)) {
       a.insert_global_value(r - 1, c - 1, v);
     }

@@ -18,9 +18,9 @@
 #include "odin/distribution.hpp"
 #include "odin/shape.hpp"
 #include "util/default_init.hpp"
-#include "util/exec_space.hpp"
 #include "util/random.hpp"
 #include "util/task_pool.hpp"
+#include "util/ufunc_loop.hpp"
 
 namespace pyhpc::odin {
 
@@ -150,16 +150,14 @@ class DistArray {
 
   // ---- elementwise (local, no communication when conformable) -----------
 
-  /// In-place transform of every local element. Dispatched through the
-  /// execution-space layer's SoA map kernel (the local buffer is a
-  /// contiguous unit-stride scalar array, so the SIMD backend vectorizes
-  /// it); above one grain of elements the selected space schedules the
-  /// chunks, below it the kernel runs inline.
+  /// In-place transform of every local element: the ufunc loop
+  /// (util/ufunc_loop.hpp) over the contiguous local buffer. Above one
+  /// grain of elements the task pool schedules the chunks, below it the
+  /// loop runs inline.
   template <class F>
   void transform(F&& f) {
     T* d = data_.data();
-    util::exec::map(util::exec::default_space(), d, d,
-                    static_cast<std::int64_t>(data_.size()),
+    util::ufunc_map(d, d, static_cast<std::int64_t>(data_.size()),
                     util::kDefaultGrain, f);
   }
 
@@ -168,8 +166,8 @@ class DistArray {
   template <class F>
   DistArray map(F&& f) const {
     DistArray out = uninitialized(*dist_);
-    util::exec::map(util::exec::default_space(), data_.data(),
-                    out.data_.data(), static_cast<std::int64_t>(data_.size()),
+    util::ufunc_map(data_.data(), out.data_.data(),
+                    static_cast<std::int64_t>(data_.size()),
                     util::kDefaultGrain, f);
     return out;
   }
@@ -182,20 +180,20 @@ class DistArray {
 
   // ---- reductions (collective) ------------------------------------------
 
-  /// Local fold then allreduce. The local fold runs as the execution-space
-  /// layer's deterministic chunked reduction: chunk boundaries depend only
-  /// on the grain (never the thread count or backend), each chunk folds
-  /// left-to-right, and partials merge in a fixed pairwise tree — so the
-  /// result is bit-identical for any thread count and any Space, and equal
-  /// to the plain serial fold whenever the local part fits in one chunk.
+  /// Local fold then allreduce. The local fold runs as the task pool's
+  /// deterministic chunked reduction: chunk boundaries depend only on the
+  /// grain (never the thread count), each chunk folds left-to-right, and
+  /// partials merge in a fixed pairwise tree — so the result is
+  /// bit-identical for any thread count, and equal to the plain serial
+  /// fold whenever the local part fits in one chunk.
   template <class F>
   T reduce(T init, F&& op) const {
     const T* d = data_.data();
     const auto n = static_cast<std::int64_t>(data_.size());
     T acc = init;
     if (n > 0) {
-      acc = util::exec::transform_reduce(
-          util::exec::default_space(), 0, n, util::kDefaultGrain, init,
+      acc = util::parallel_reduce(
+          0, n, util::kDefaultGrain, init,
           [&op, &init, d](std::int64_t lo, std::int64_t hi) {
             T a = lo == 0 ? init : d[lo];
             for (std::int64_t i = lo == 0 ? lo : lo + 1; i < hi; ++i) {
@@ -223,8 +221,8 @@ class DistArray {
     const auto n = static_cast<std::int64_t>(data_.size());
     T acc = std::numeric_limits<T>::max();
     if (n > 0) {
-      acc = util::exec::transform_reduce(
-          util::exec::default_space(), 0, n, util::kDefaultGrain, acc,
+      acc = util::parallel_reduce(
+          0, n, util::kDefaultGrain, acc,
           [d](std::int64_t lo, std::int64_t hi) {
             T a = d[lo];
             for (std::int64_t i = lo + 1; i < hi; ++i) a = std::min(a, d[i]);
@@ -242,8 +240,8 @@ class DistArray {
     const auto n = static_cast<std::int64_t>(data_.size());
     T acc = std::numeric_limits<T>::lowest();
     if (n > 0) {
-      acc = util::exec::transform_reduce(
-          util::exec::default_space(), 0, n, util::kDefaultGrain, acc,
+      acc = util::parallel_reduce(
+          0, n, util::kDefaultGrain, acc,
           [d](std::int64_t lo, std::int64_t hi) {
             T a = d[lo];
             for (std::int64_t i = lo + 1; i < hi; ++i) a = std::max(a, d[i]);
@@ -262,9 +260,8 @@ class DistArray {
 
   double norm2() const {
     const T* d = data_.data();
-    const double acc = util::exec::transform_reduce(
-        util::exec::default_space(), 0,
-        static_cast<std::int64_t>(data_.size()), util::kDefaultGrain, 0.0,
+    const double acc = util::parallel_reduce(
+        0, static_cast<std::int64_t>(data_.size()), util::kDefaultGrain, 0.0,
         [d](std::int64_t lo, std::int64_t hi) {
           double a = 0.0;
           for (std::int64_t i = lo; i < hi; ++i) {
@@ -338,8 +335,7 @@ class DistArray {
   template <class F>
   DistArray zip_local(const DistArray& other, F&& f) const {
     DistArray out = uninitialized(*dist_);
-    util::exec::zip(util::exec::default_space(), data_.data(),
-                    other.data_.data(), out.data_.data(),
+    util::ufunc_zip(data_.data(), other.data_.data(), out.data_.data(),
                     static_cast<std::int64_t>(data_.size()),
                     util::kDefaultGrain, f);
     return out;

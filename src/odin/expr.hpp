@@ -190,11 +190,10 @@ auto operator/(typename A::value_type s, A a) {
 }  // namespace detail
 
 /// Evaluates the whole tree in one fused pass over the local elements —
-/// dispatched through the execution-space layer when the local part
-/// exceeds one grain. The body is an element body (`dst[i] = expr.at(i)`,
-/// pure inlined leaf-load arithmetic), so the SIMD backend vectorizes the
-/// entire fused expression in one pass. Collective only in that every
-/// rank must call it (no traffic).
+/// threaded on the task pool when the local part exceeds one grain. Each
+/// chunk is one loop of `dst[i] = expr.at(i)` (pure inlined leaf-load
+/// arithmetic). Collective only in that every rank must call it (no
+/// traffic).
 template <class E, class = std::enable_if_t<detail::is_expr_v<E>>>
 DistArray<typename E::value_type> eval(const E& expr) {
   using T = typename E::value_type;
@@ -206,11 +205,13 @@ DistArray<typename E::value_type> eval(const E& expr) {
                       "before fusing");
   auto out = DistArray<T>::uninitialized(*dist);
   T* dst = out.local_view().data();
-  util::exec::for_each(util::exec::default_space(), 0,
-                       static_cast<std::int64_t>(out.local_view().size()),
-                       util::kDefaultGrain, [&expr, dst](std::int64_t i) noexcept {
+  util::parallel_for(0, static_cast<std::int64_t>(out.local_view().size()),
+                     util::kDefaultGrain,
+                     [&expr, dst](std::int64_t lo, std::int64_t hi) {
+                       for (std::int64_t i = lo; i < hi; ++i) {
                          dst[i] = expr.at(static_cast<index_t>(i));
-                       });
+                       }
+                     });
   return out;
 }
 
@@ -245,9 +246,8 @@ template <class E, class = std::enable_if_t<detail::is_expr_v<E>>>
 typename E::value_type sum(const E& expr) {
   using T = typename E::value_type;
   const Distribution& dist = detail::reduce_dist(expr, "sum");
-  const T acc = util::exec::transform_reduce(
-      util::exec::default_space(), 0,
-      static_cast<std::int64_t>(dist.local_count()), util::kDefaultGrain,
+  const T acc = util::parallel_reduce(
+      0, static_cast<std::int64_t>(dist.local_count()), util::kDefaultGrain,
       T{0},
       [&expr](std::int64_t lo, std::int64_t hi) {
         T a{0};
@@ -269,8 +269,8 @@ typename E::value_type min(const E& expr) {
   const std::int64_t n = static_cast<std::int64_t>(dist.local_count());
   T acc = std::numeric_limits<T>::max();  // locally-empty rank: never wins
   if (n > 0) {
-    acc = util::exec::transform_reduce(
-        util::exec::default_space(), 0, n, util::kDefaultGrain, acc,
+    acc = util::parallel_reduce(
+        0, n, util::kDefaultGrain, acc,
         [&expr](std::int64_t lo, std::int64_t hi) {
           T a = expr.at(static_cast<index_t>(lo));
           for (std::int64_t i = lo + 1; i < hi; ++i) {
@@ -293,8 +293,8 @@ typename E::value_type max(const E& expr) {
   const std::int64_t n = static_cast<std::int64_t>(dist.local_count());
   T acc = std::numeric_limits<T>::lowest();
   if (n > 0) {
-    acc = util::exec::transform_reduce(
-        util::exec::default_space(), 0, n, util::kDefaultGrain, acc,
+    acc = util::parallel_reduce(
+        0, n, util::kDefaultGrain, acc,
         [&expr](std::int64_t lo, std::int64_t hi) {
           T a = expr.at(static_cast<index_t>(lo));
           for (std::int64_t i = lo + 1; i < hi; ++i) {

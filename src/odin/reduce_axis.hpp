@@ -43,12 +43,8 @@ DistArray<T> reduce_axis(const DistArray<T>& a, int axis, Op op, T init) {
   // values are independent of the chunking.
   const auto out_strides = out_shape.strides();
   using PartialMap = std::unordered_map<index_t, T>;
-  // General (chunk-fold) path through the execution-space layer: each
-  // element needs global_of_local index translation, so the SoA fast path
-  // does not apply (DESIGN.md §11) and SIMD spaces run it scalar.
-  PartialMap partials = util::exec::transform_reduce(
-      util::exec::default_space(), 0,
-      static_cast<std::int64_t>(a.local_size()), util::kDefaultGrain,
+  PartialMap partials = util::parallel_reduce(
+      0, static_cast<std::int64_t>(a.local_size()), util::kDefaultGrain,
       PartialMap{},
       [&](std::int64_t lo, std::int64_t hi) {
         PartialMap m;

@@ -180,14 +180,13 @@ DistArray<T> shifted_diff(const DistArray<T>& a) {
     }
     const T* inp = in.data();
     T* outp = view.data();
-    // Element body: the interior stencil reads inp at two offsets of one
-    // contiguous buffer, so the SIMD backend vectorizes it (unaligned
-    // loads on the +1 stream — still profitable).
-    util::exec::for_each(util::exec::default_space(), 0,
-                         my_count > 0 ? my_count - 1 : 0, util::kDefaultGrain,
-                         [inp, outp](std::int64_t k) noexcept {
+    util::parallel_for(0, my_count > 0 ? my_count - 1 : 0,
+                       util::kDefaultGrain,
+                       [inp, outp](std::int64_t lo, std::int64_t hi) {
+                         for (std::int64_t k = lo; k < hi; ++k) {
                            outp[k] = inp[k + 1] - inp[k];
-                         });
+                         }
+                       });
   }
   if (halo_recv.has_value() && out_n == my_count) {
     const T halo =

@@ -23,64 +23,64 @@ namespace pyhpc::odin {
 
 template <class T>
 DistArray<T> sin(const DistArray<T>& a) {
-  return a.map([](T x) noexcept { return std::sin(x); });
+  return a.map([](T x) { return std::sin(x); });
 }
 template <class T>
 DistArray<T> cos(const DistArray<T>& a) {
-  return a.map([](T x) noexcept { return std::cos(x); });
+  return a.map([](T x) { return std::cos(x); });
 }
 template <class T>
 DistArray<T> sqrt(const DistArray<T>& a) {
-  return a.map([](T x) noexcept { return std::sqrt(x); });
+  return a.map([](T x) { return std::sqrt(x); });
 }
 template <class T>
 DistArray<T> exp(const DistArray<T>& a) {
-  return a.map([](T x) noexcept { return std::exp(x); });
+  return a.map([](T x) { return std::exp(x); });
 }
 template <class T>
 DistArray<T> log(const DistArray<T>& a) {
-  return a.map([](T x) noexcept { return std::log(x); });
+  return a.map([](T x) { return std::log(x); });
 }
 template <class T>
 DistArray<T> abs(const DistArray<T>& a) {
-  return a.map([](T x) noexcept { return std::abs(x); });
+  return a.map([](T x) { return std::abs(x); });
 }
 template <class T>
 DistArray<T> square(const DistArray<T>& a) {
-  return a.map([](T x) noexcept { return x * x; });
+  return a.map([](T x) { return x * x; });
 }
 template <class T>
 DistArray<T> negate(const DistArray<T>& a) {
-  return a.map([](T x) noexcept { return -x; });
+  return a.map([](T x) { return -x; });
 }
 
 // ---- direct binary ufuncs --------------------------------------------------
 
 // hypot follows the paper's definition sqrt(x^2 + y^2) rather than
-// std::hypot: the naive form is straight-line mul/add/sqrt, so the SIMD
-// execution space can vectorize it (a libm call cannot be), at the cost
-// of overflow protection above ~1e154 — callers in that range (e.g. the
+// std::hypot: the naive form is straight-line mul/add/sqrt, so the ufunc
+// loop's AVX2 copy vectorizes it (a libm call cannot be), at the cost of
+// overflow protection above ~1e154 — callers in that range (e.g. the
 // solvers' Givens rotations) use std::hypot directly.
 template <class T>
 DistArray<T> hypot(const DistArray<T>& a, const DistArray<T>& b,
                    ConformStrategy strategy = ConformStrategy::kAuto) {
   return a.zip(
-      b, [](T x, T y) noexcept { return std::sqrt(x * x + y * y); }, strategy);
+      b, [](T x, T y) { return std::sqrt(x * x + y * y); }, strategy);
 }
 template <class T>
 DistArray<T> pow(const DistArray<T>& a, const DistArray<T>& b,
                  ConformStrategy strategy = ConformStrategy::kAuto) {
-  return a.zip(b, [](T x, T y) noexcept { return std::pow(x, y); }, strategy);
+  return a.zip(b, [](T x, T y) { return std::pow(x, y); }, strategy);
 }
 template <class T>
 DistArray<T> minimum(const DistArray<T>& a, const DistArray<T>& b,
                      ConformStrategy strategy = ConformStrategy::kAuto) {
-  return a.zip(b, [](T x, T y) noexcept { return std::min(x, y); }, strategy);
+  return a.zip(b, [](T x, T y) { return std::min(x, y); }, strategy);
 }
 template <class T>
 DistArray<T> maximum(const DistArray<T>& a, const DistArray<T>& b,
                      ConformStrategy strategy = ConformStrategy::kAuto) {
-  return a.zip(b, [](T x, T y) noexcept { return std::max(x, y); }, strategy);
+  return a.zip(b, [](T x, T y) { return std::max(x, y); }, strategy);
 }
 
 /// Elementwise select: out[i] = cond[i] != 0 ? a[i] : b[i] (NumPy's where).
@@ -97,12 +97,13 @@ DistArray<T> where(const DistArray<T>& cond, const DistArray<T>& a,
   const T* av = a.local_view().data();
   const T* bv = b.local_view().data();
   T* ov = out.local_view().data();
-  // Element body → the SIMD backend may vectorize the select (a blend).
-  util::exec::for_each(util::exec::default_space(), 0,
-                       static_cast<std::int64_t>(out.local_view().size()),
-                       util::kDefaultGrain, [cv, av, bv, ov](std::int64_t i) noexcept {
+  util::parallel_for(0, static_cast<std::int64_t>(out.local_view().size()),
+                     util::kDefaultGrain,
+                     [cv, av, bv, ov](std::int64_t lo, std::int64_t hi) {
+                       for (std::int64_t i = lo; i < hi; ++i) {
                          ov[i] = cv[i] != T{0} ? av[i] : bv[i];
-                       });
+                       }
+                     });
   return out;
 }
 
@@ -110,12 +111,12 @@ DistArray<T> where(const DistArray<T>& cond, const DistArray<T>& a,
 template <class T>
 DistArray<T> greater(const DistArray<T>& a, const DistArray<T>& b,
                      ConformStrategy strategy = ConformStrategy::kAuto) {
-  return a.zip(b, [](T x, T y) noexcept { return x > y ? T{1} : T{0}; }, strategy);
+  return a.zip(b, [](T x, T y) { return x > y ? T{1} : T{0}; }, strategy);
 }
 template <class T>
 DistArray<T> less(const DistArray<T>& a, const DistArray<T>& b,
                   ConformStrategy strategy = ConformStrategy::kAuto) {
-  return a.zip(b, [](T x, T y) noexcept { return x < y ? T{1} : T{0}; }, strategy);
+  return a.zip(b, [](T x, T y) { return x < y ? T{1} : T{0}; }, strategy);
 }
 
 // ---- named registry ---------------------------------------------------------

@@ -6,7 +6,6 @@
 #include <map>
 #include <unordered_map>
 
-#include "util/exec_space.hpp"
 #include "util/task_pool.hpp"
 
 namespace pyhpc::precond {
@@ -336,9 +335,8 @@ void AmgPreconditioner::Prolongator::prolongate(const Vector& ec,
   const std::int64_t* rp = row_ptr.data();
   const LO* ci = col.data();
   const double* va = val.data();
-  util::exec::for_each(
-      util::exec::default_space(), 0,
-      static_cast<std::int64_t>(z.local_size()), tpetra::kRowGrain,
+  util::parallel_for(
+      0, static_cast<std::int64_t>(z.local_size()), tpetra::kRowGrain,
       [=](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t i = lo; i < hi; ++i) {
           double acc = 0.0;
@@ -376,10 +374,12 @@ void AmgPreconditioner::smooth(const Level& level, const Vector& r, Vector& z,
   const auto n = static_cast<std::int64_t>(z.local_size());
   for (int s = 0; s < sweeps; ++s) {
     level.a->apply(z, az);
-    util::exec::for_each(util::exec::default_space(), 0, n,
-                         util::kDefaultGrain, [=](std::int64_t i) noexcept {
+    util::parallel_for(0, n, util::kDefaultGrain,
+                       [=](std::int64_t lo, std::int64_t hi) {
+                         for (std::int64_t i = lo; i < hi; ++i) {
                            zv[i] += omega * dv[i] * (rv[i] - azv[i]);
-                         });
+                         }
+                       });
   }
 }
 

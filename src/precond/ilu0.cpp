@@ -1,7 +1,6 @@
 #include <algorithm>
 
 #include "precond/preconditioner.hpp"
-#include "util/exec_space.hpp"
 #include "util/task_pool.hpp"
 
 namespace pyhpc::precond {
@@ -22,9 +21,9 @@ Ilu0Preconditioner::Ilu0Preconditioner(const Matrix& a) {
   // both carry loop-carried dependencies across rows.
   const LO n = n_;
   row_ptr_.assign(static_cast<std::size_t>(n_) + 1, 0);
-  util::exec::for_each(
-      util::exec::default_space(), 0, static_cast<std::int64_t>(n_),
-      tpetra::kRowGrain, [&](std::int64_t lo, std::int64_t hi) {
+  util::parallel_for(
+      0, static_cast<std::int64_t>(n_), tpetra::kRowGrain,
+      [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t i = lo; i < hi; ++i) {
           std::int64_t cnt = 0;
           for (auto k = arp[static_cast<std::size_t>(i)];
@@ -42,9 +41,9 @@ Ilu0Preconditioner::Ilu0Preconditioner(const Matrix& a) {
   val_.resize(static_cast<std::size_t>(row_ptr_.back()));
   diag_pos_.assign(static_cast<std::size_t>(n_), -1);
 
-  util::exec::for_each(
-      util::exec::default_space(), 0, static_cast<std::int64_t>(n_),
-      tpetra::kRowGrain, [&](std::int64_t lo, std::int64_t hi) {
+  util::parallel_for(
+      0, static_cast<std::int64_t>(n_), tpetra::kRowGrain,
+      [&](std::int64_t lo, std::int64_t hi) {
         std::vector<std::pair<LO, double>> row;
         for (std::int64_t i = lo; i < hi; ++i) {
           row.clear();

@@ -15,7 +15,6 @@
 #include "tpetra/crs_matrix.hpp"
 #include "tpetra/operator.hpp"
 #include "tpetra/vector.hpp"
-#include "util/exec_space.hpp"
 #include "util/task_pool.hpp"
 
 namespace pyhpc::precond {
@@ -67,19 +66,22 @@ class JacobiPreconditioner final : public Preconditioner {
     const double omega = omega_;
     const auto n = static_cast<std::int64_t>(z.local_size());
     // First sweep from z=0 is just z = omega D^-1 r — no matvec needed.
-    // Element bodies over contiguous vector views: the SIMD space
-    // vectorizes these relaxation sweeps.
-    const auto space = util::exec::default_space();
-    util::exec::for_each(space, 0, n, util::kDefaultGrain,
-                         [=](std::int64_t i) noexcept { zv[i] = omega * dv[i] * rv[i]; });
+    util::parallel_for(0, n, util::kDefaultGrain,
+                       [=](std::int64_t lo, std::int64_t hi) {
+                         for (std::int64_t i = lo; i < hi; ++i) {
+                           zv[i] = omega * dv[i] * rv[i];
+                         }
+                       });
     Vector az(a_.range_map());
     for (int s = 1; s < sweeps_; ++s) {
       a_.apply(z, az);
       const double* azv = az.local_view().data();
-      util::exec::for_each(space, 0, n, util::kDefaultGrain,
-                           [=](std::int64_t i) noexcept {
+      util::parallel_for(0, n, util::kDefaultGrain,
+                         [=](std::int64_t lo, std::int64_t hi) {
+                           for (std::int64_t i = lo; i < hi; ++i) {
                              zv[i] += omega * dv[i] * (rv[i] - azv[i]);
-                           });
+                           }
+                         });
     }
   }
 
@@ -203,10 +205,12 @@ class ChebyshevPreconditioner final : public Preconditioner {
     for (int k = 0; k < degree_; ++k) {
       // residual of the preconditioned system: s = D^-1 (r - A z)
       a_.apply(z, scratch);
-      util::exec::for_each(util::exec::default_space(), 0, n,
-                           util::kDefaultGrain, [=](std::int64_t i) noexcept {
+      util::parallel_for(0, n, util::kDefaultGrain,
+                         [=](std::int64_t lo, std::int64_t hi) {
+                           for (std::int64_t i = lo; i < hi; ++i) {
                              sv[i] = dv[i] * (rv[i] - sv[i]);
-                           });
+                           }
+                         });
       if (k == 0) {
         alpha = 1.0 / d;
         p.update(1.0, scratch, 0.0);

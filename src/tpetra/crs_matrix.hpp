@@ -17,7 +17,6 @@
 #include "tpetra/map.hpp"
 #include "tpetra/operator.hpp"
 #include "tpetra/vector.hpp"
-#include "util/exec_space.hpp"
 #include "util/task_pool.hpp"
 
 namespace pyhpc::tpetra {
@@ -184,12 +183,8 @@ class CrsMatrix final : public Operator<Scalar, LO, GO> {
 
     if (boundary_rows_.empty()) {
       ghost_->do_import(x, *importer_, CombineMode::kInsert);
-      // Chunk body (the call site owns the row loop): SpMV gathers x
-      // through the column index, so the SoA fast path does not apply and
-      // the win comes from the space's row-block scheduling.
-      util::exec::for_each(
-          util::exec::default_space(), 0,
-          static_cast<std::int64_t>(row_map_.num_local()), kRowGrain,
+      util::parallel_for(
+          0, static_cast<std::int64_t>(row_map_.num_local()), kRowGrain,
           [xv, yv, rp, ci, va](std::int64_t lo, std::int64_t hi) {
             for (std::int64_t i = lo; i < hi; ++i) {
               Scalar acc{};
@@ -213,9 +208,8 @@ class CrsMatrix final : public Operator<Scalar, LO, GO> {
     auto handle = importer_->template begin_apply<Scalar>(
         x.local_view(), ghost_->local_view(), CombineMode::kInsert);
     const LO* interior = interior_rows_.data();
-    util::exec::for_each(
-        util::exec::default_space(), 0,
-        static_cast<std::int64_t>(interior_rows_.size()), kRowGrain,
+    util::parallel_for(
+        0, static_cast<std::int64_t>(interior_rows_.size()), kRowGrain,
         [xv, yv, rp, ci, va, interior](std::int64_t lo, std::int64_t hi) {
           for (std::int64_t idx = lo; idx < hi; ++idx) {
             const std::int64_t i = interior[idx];

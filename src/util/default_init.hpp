@@ -6,9 +6,9 @@
 // pass, so the zero-fill is pure wasted store traffic: at 2^20 doubles it
 // adds 8 MiB of stores (and the page first-touch) *before* the kernel
 // runs. Building the result vector with this allocator skips that pass;
-// first touch then happens inside the writing kernel itself, under
-// whatever execution space runs it — which is also the NUMA-friendly
-// first-touch pattern the pool spaces want.
+// first touch then happens inside the writing kernel itself, on whichever
+// pool lane runs the chunk — which is also the NUMA-friendly first-touch
+// pattern a threaded kernel wants.
 //
 // Only use it for buffers every element of which is provably written
 // before being read (DistArray::uninitialized documents the call-site

@@ -46,7 +46,8 @@ struct TaskPool::Impl {
   // a worker that lingers in its drain loop past one region's completion
   // executes whatever the deques hold next against the right state.
   struct Region {
-    const Body* body = nullptr;
+    explicit Region(Body b) : body(b) {}
+    Body body;
     std::int64_t ntasks = 0;
     std::atomic<std::int64_t> remaining{0};
     std::atomic<std::uint64_t> steals{0};
@@ -120,7 +121,7 @@ struct TaskPool::Impl {
     Region* r = t.region;
     if (!r->cancelled.load(std::memory_order_relaxed)) {
       try {
-        (*r->body)(t.lo, t.hi);
+        r->body(t.lo, t.hi);
       } catch (...) {
         {
           std::lock_guard<std::mutex> lock(r->error_mu);
@@ -221,13 +222,29 @@ TaskPool::Stats TaskPool::stats() const {
 }
 
 void TaskPool::parallel_for(std::int64_t begin, std::int64_t end,
-                            std::int64_t grain, const Body& body) {
+                            std::int64_t grain, Body body) {
   if (end <= begin) return;
   if (grain < 1) grain = 1;
-  if (end - begin <= grain || lanes_ == 1 || t_in_region) {
-    // Serial fallback: tiny range, serial pool, or nested region. Runs
-    // inline with no scheduling, no metrics, no span — but still chunk by
-    // chunk: parallel_reduce's determinism needs the same chunk boundaries
+  if (end - begin <= grain) {
+    impl_->serial_regions.fetch_add(1, std::memory_order_relaxed);
+    body(begin, end);
+    return;
+  }
+  obs::Span span("pool.parallel_for", "pool");
+  run(begin, end, grain, body, span);
+}
+
+void TaskPool::run(std::int64_t begin, std::int64_t end, std::int64_t grain,
+                   Body body, obs::Span& span) {
+  if (span.active()) {
+    span.arg("threads", static_cast<std::int64_t>(lanes_));
+    span.arg("grain", grain);
+    span.arg("n", end - begin);
+  }
+  if (lanes_ == 1 || t_in_region) {
+    // Serial fallback: serial pool or nested region. Runs inline with no
+    // scheduling and no metrics — but still chunk by chunk:
+    // parallel_reduce's determinism needs the same chunk boundaries
     // whether or not the pool scheduled the region.
     impl_->serial_regions.fetch_add(1, std::memory_order_relaxed);
     for (std::int64_t lo = begin; lo < end; lo += grain) {
@@ -235,18 +252,11 @@ void TaskPool::parallel_for(std::int64_t begin, std::int64_t end,
     }
     return;
   }
-  run_region(begin, end, grain, body);
-}
 
-void TaskPool::run_region(std::int64_t begin, std::int64_t end,
-                          std::int64_t grain, const Body& body) {
   Impl& im = *impl_;
   im.ensure_started();
 
-  obs::Span span("pool.parallel_for", "pool");
-
-  Impl::Region region;
-  region.body = &body;
+  Impl::Region region(body);
   region.ntasks = (end - begin + grain - 1) / grain;
   region.remaining.store(region.ntasks, std::memory_order_relaxed);
 
@@ -282,9 +292,6 @@ void TaskPool::run_region(std::int64_t begin, std::int64_t end,
       region.steals.load(std::memory_order_relaxed);
 
   if (span.active()) {
-    span.arg("threads", static_cast<std::int64_t>(lanes_));
-    span.arg("grain", grain);
-    span.arg("n", end - begin);
     span.arg("tasks", region.ntasks);
     span.arg("steals", static_cast<std::int64_t>(region_steals));
   }

@@ -2,18 +2,21 @@
 // story. The comm layer scales *across* ranks (PR 3's collectives); this
 // pool scales *within* one, threading the node-local kernels (ufunc
 // application, fused expression evaluation, reductions, SpMV, relaxation
-// sweeps) that otherwise use one core per rank.
+// sweeps) that otherwise use one core per rank. Every such kernel calls
+// util::parallel_for or util::parallel_reduce directly with a chunk body
+// `body(lo, hi)` that owns its inner loop; there is no backend choice.
 //
 // Model: every rank thread owns at most one lazily started pool
 // (`TaskPool::current()` is thread-local). A parallel region splits an
 // index range into fixed-size chunks (the `grain`), deals them round-robin
 // onto per-lane deques, and the calling thread plus the worker threads
 // drain them — own deque from the front, other lanes' deques from the back
-// (steals). Ranges at or below one grain run inline on the caller with no
-// pool startup, no atomics, and no instrumentation, so tiny arrays pay
-// nothing. Nested regions (a threaded kernel calling another threaded
-// kernel from inside a worker task) degrade to serial instead of
-// deadlocking.
+// (steals). The free functions run a range of at most one grain inline on
+// the caller with no pool lookup, no atomics, and no instrumentation, so
+// tiny arrays pay nothing. A larger range hands the pool a reference to
+// the caller's body (TaskPool::Body), never a copy of its captures.
+// Nested regions (a threaded kernel calling another threaded kernel from
+// inside a worker task) degrade to serial instead of deadlocking.
 //
 // Sizing: `PYHPC_THREADS` (process-wide default, 1 = serial when unset) or
 // `CommConfig::threads`, which comm::run installs per rank thread via
@@ -27,15 +30,18 @@
 // thread count: the serial fallback walks the very same chunks inline, so
 // even a 1-lane pool produces the same partials and the same tree.
 //
-// Observability: each parallel region records an obs span
+// Observability: every region larger than one grain records one obs span
 // ("pool.parallel_for" / "pool.parallel_reduce", category "pool") carrying
-// threads/grain/n/tasks args, and folds pool.regions / pool.tasks /
+// threads/grain/n args — on a 1-lane pool too. Regions the pool schedules
+// across lanes add tasks/steals args and fold pool.regions / pool.tasks /
 // pool.steals counters plus the pool.threads max-gauge into the global
-// MetricsRegistry. Serial-fallback regions skip all of it.
+// MetricsRegistry.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -54,7 +60,29 @@ class TaskPool {
   /// invokes it on disjoint chunks exactly covering [begin, end), each
   /// chunk [begin + c*grain, min(begin + (c+1)*grain, end)) — callers may
   /// recover the chunk index as (lo - begin) / grain.
-  using Body = std::function<void(std::int64_t, std::int64_t)>;
+  ///
+  /// A non-owning reference to the caller's callable: a region blocks
+  /// until every chunk ran, so the callable outlives it and nothing is
+  /// copied or allocated.
+  class Body {
+   public:
+    template <class F>
+      requires(!std::is_same_v<std::remove_cvref_t<F>, Body> &&
+               std::is_invocable_v<F&, std::int64_t, std::int64_t>)
+    Body(F&& f) noexcept
+        : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+          call_([](void* obj, std::int64_t lo, std::int64_t hi) {
+            (*static_cast<std::remove_reference_t<F>*>(obj))(lo, hi);
+          }) {}
+
+    void operator()(std::int64_t lo, std::int64_t hi) const {
+      call_(obj_, lo, hi);
+    }
+
+   private:
+    void* obj_;
+    void (*call_)(void*, std::int64_t, std::int64_t);
+  };
 
   ~TaskPool();
   TaskPool(const TaskPool&) = delete;
@@ -82,7 +110,7 @@ class TaskPool {
   /// Blocks until every chunk completed; the first exception thrown by a
   /// chunk is rethrown here (remaining chunks are skipped).
   void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                    const Body& body);
+                    Body body);
 
   /// Deterministic tree reduction. `fold(lo, hi) -> T` computes one chunk's
   /// partial (left-to-right); `combine(a, b) -> T` merges two partials and
@@ -100,17 +128,13 @@ class TaskPool {
     if (nchunks == 1) return fold(begin, end);
 
     obs::Span span("pool.parallel_reduce", "pool");
-    if (span.active()) {
-      span.arg("threads", static_cast<std::int64_t>(threads()));
-      span.arg("grain", grain);
-      span.arg("n", end - begin);
-    }
     std::vector<T> partials(static_cast<std::size_t>(nchunks), identity);
-    parallel_for(begin, end, grain,
-                 [&](std::int64_t lo, std::int64_t hi) {
-                   partials[static_cast<std::size_t>((lo - begin) / grain)] =
-                       fold(lo, hi);
-                 });
+    run(begin, end, grain,
+        [&](std::int64_t lo, std::int64_t hi) {
+          partials[static_cast<std::size_t>((lo - begin) / grain)] =
+              fold(lo, hi);
+        },
+        span);
     // Fixed-shape pairwise tree: (p0⊕p1) ⊕ (p2⊕p3) ... independent of how
     // chunks were scheduled onto lanes.
     std::vector<T> level = std::move(partials);
@@ -139,26 +163,38 @@ class TaskPool {
  private:
   struct Impl;
   explicit TaskPool(int lanes);
-  void run_region(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                  const Body& body);
+  /// Runs a region larger than one grain: inline chunk by chunk on a
+  /// 1-lane pool or inside another region, else across the lanes.
+  /// Annotates `span` (the caller's region span) with the region's shape.
+  void run(std::int64_t begin, std::int64_t end, std::int64_t grain,
+           Body body, obs::Span& span);
 
   Impl* impl_;
   int lanes_;
 };
 
-/// Convenience wrappers over the calling thread's pool.
-inline void parallel_for(std::int64_t begin, std::int64_t end,
-                         std::int64_t grain, const TaskPool::Body& body) {
+/// The kernel entry points, over the calling thread's pool. A range of at
+/// most one grain runs inline as one chunk without looking the pool up;
+/// anything larger goes to TaskPool::current() by reference.
+template <class F>
+void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
+                  F&& body) {
+  if (end <= begin) return;
+  if (end - begin <= std::max<std::int64_t>(grain, 1)) {
+    body(begin, end);
+    return;
+  }
   TaskPool::current().parallel_for(begin, end, grain, body);
 }
 
 template <class T, class Fold, class Combine>
 T parallel_reduce(std::int64_t begin, std::int64_t end, std::int64_t grain,
                   T identity, Fold&& fold, Combine&& combine) {
+  if (end <= begin) return identity;
+  if (end - begin <= std::max<std::int64_t>(grain, 1)) return fold(begin, end);
   return TaskPool::current().parallel_reduce(begin, end, grain,
-                                             std::move(identity),
-                                             std::forward<Fold>(fold),
-                                             std::forward<Combine>(combine));
+                                             std::move(identity), fold,
+                                             combine);
 }
 
 }  // namespace pyhpc::util

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "comm/runner.hpp"
 #include "epetraext/epetraext.hpp"
@@ -114,6 +117,32 @@ TEST(EpetraExt, ReadMissingFileThrows) {
                              comm, "/tmp/definitely_not_there.mtx");
                        }),
                pyhpc::Error);
+}
+
+TEST(EpetraExt, ReadMatrixMarketRejectsOutOfRangeEntries) {
+  // A 4 x 4 file whose fifth entry lies outside the matrix. No rank owns
+  // an out-of-range row, so every rank must reject the entry rather than
+  // drop it; an out-of-range column must be rejected on every rank too,
+  // not only on the row's owner.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "pyhpc_mm_range.mtx")
+          .string();
+  for (const char* bad : {"0 1 7.0", "5 1 7.0", "1 5 7.0"}) {
+    {
+      std::ofstream out(path);
+      out << "%%MatrixMarket matrix coordinate real general\n4 4 5\n"
+          << "1 1 2.0\n2 2 2.0\n3 3 2.0\n4 4 2.0\n"
+          << bad << "\n";
+    }
+    for (int p : {1, 3}) {
+      pc::run(p, [&](pc::Communicator& comm) {
+        EXPECT_THROW((void)ee::read_matrix_market(comm, path),
+                     pyhpc::InvalidArgument)
+            << "entry \"" << bad << "\" p=" << p << " rank=" << comm.rank();
+      });
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST_P(EpetraExtSweep, ScaleRowsColumns) {

@@ -48,7 +48,7 @@ TEST_P(ArraySweep, CreationRoutines) {
 }
 
 // Kernel result arrays are allocated without the zero-fill pass
-// (DistArray::uninitialized, DESIGN.md §11.4); the zero-semantics
+// (DistArray::uninitialized, DESIGN.md §11); the zero-semantics
 // constructors must keep zeroing regardless — every element, not just a
 // reduction over them.
 TEST_P(ArraySweep, FreshAndZerosArraysAreElementwiseZero) {

@@ -238,83 +238,3 @@ TEST_P(AmgSweep, RespectsMaxLevels) {
     EXPECT_LT(r.norm2() / b0, 0.05);
   });
 }
-
-// ---------------------------------------------------------------------------
-// Structure-keyed setup-cache adapters (DESIGN.md §10)
-// ---------------------------------------------------------------------------
-
-#include "precond/cached.hpp"
-#include "util/setup_cache.hpp"
-
-TEST_P(PrecondSweep, CachedIlu0SharesOneFactorizationPerStructure) {
-  pc::run(GetParam(), [](pc::Communicator& comm) {
-    pyhpc::util::SetupCache cache(8, "test.precond.cache");
-    auto map = gl::Map::uniform(comm, 24);
-    auto a = gl::tridiag(map, -1.0, 3.0, -1.5);
-    auto m1 = pp::cached_ilu0(cache, a);
-    // Same sparsity, different values: structure key -> same artifact
-    // (the documented reuse-preconditioner trade).
-    auto b = gl::tridiag(map, -2.0, 5.0, -0.5);
-    auto m2 = pp::cached_ilu0(cache, b);
-    EXPECT_EQ(m1.get(), m2.get());
-    const auto st = cache.stats();
-    EXPECT_EQ(st.hits, 1u);
-    EXPECT_EQ(st.misses, 1u);
-    // The cached preconditioner still contracts a's residual. In serial,
-    // tridiagonal ILU(0) is the exact LU of the matrix it was built from;
-    // in parallel the dropped off-rank couplings leave a contraction.
-    if (comm.size() == 1) {
-      EXPECT_NEAR(one_step_reduction(a, *m1, 5), 0.0, 1e-12);
-    } else {
-      EXPECT_LT(one_step_reduction(a, *m1, 5), 1.0);
-    }
-  });
-}
-
-TEST_P(PrecondSweep, CachedIlu0DistinguishesDifferentSparsity) {
-  pc::run(GetParam(), [](pc::Communicator& comm) {
-    pyhpc::util::SetupCache cache(8, "test.precond.cache2");
-    auto map = gl::Map::uniform(comm, 24);
-    auto tri = gl::tridiag(map, -1.0, 3.0, -1.5);
-    auto m1 = pp::cached_ilu0(cache, tri);
-    // A different global size is a different structure outright.
-    auto map2 = gl::Map::uniform(comm, 30);
-    auto tri2 = gl::tridiag(map2, -1.0, 3.0, -1.5);
-    auto m2 = pp::cached_ilu0(cache, tri2);
-    EXPECT_NE(m1.get(), m2.get());
-    EXPECT_EQ(cache.stats().misses, 2u);
-  });
-}
-
-TEST_P(PrecondSweep, CachedAmgKeysIncludeOptions) {
-  pc::run(GetParam(), [](pc::Communicator& comm) {
-    pyhpc::util::SetupCache cache(8, "test.precond.cache3");
-    auto map = gl::Map::uniform(comm, 48);
-    auto a = gl::tridiag(map, -1.0, 2.0, -1.0);
-    pp::AmgOptions o1;
-    auto m1 = pp::cached_amg(cache, a, o1);
-    auto m1again = pp::cached_amg(cache, a, o1);
-    EXPECT_EQ(m1.get(), m1again.get());
-    // Different setup options build a different hierarchy: distinct key.
-    pp::AmgOptions o2;
-    o2.coarse_size = 8;
-    auto m2 = pp::cached_amg(cache, a, o2);
-    EXPECT_NE(m1.get(), m2.get());
-    // The cached hierarchy is still a working preconditioner: as a
-    // stationary iteration it converges (a single cycle's l2 residual on
-    // a random RHS may transiently grow, so measure over several cycles).
-    gl::Vector b(map);
-    b.randomize(11);
-    gl::Vector x(map, 0.0), r(map), z(map);
-    const double b0 = b.norm2();
-    for (int cycle = 0; cycle < 8; ++cycle) {
-      a.apply(x, r);
-      r.update(1.0, b, -1.0);
-      m1again->apply(r, z);
-      x.update(1.0, z, 1.0);
-    }
-    a.apply(x, r);
-    r.update(1.0, b, -1.0);
-    EXPECT_LT(r.norm2() / b0, 0.05);
-  });
-}

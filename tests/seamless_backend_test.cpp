@@ -379,28 +379,3 @@ TEST(Embed, SourceIsPythonSubset) {
   EXPECT_DOUBLE_EQ(
       engine.run_interpreted("sum", {Value::of(arr)}).as_float(), 5.0);
 }
-
-// ---------------------------------------------------------------------------
-// Source-keyed engine cache (DESIGN.md §10)
-// ---------------------------------------------------------------------------
-
-#include "seamless/cached.hpp"
-#include "util/setup_cache.hpp"
-
-TEST(CachedEngine, IdenticalSourceSharesOneEngine) {
-  pyhpc::util::SetupCache cache(4, "test.seamless.cache");
-  const std::string src = "def f(x):\n    return x * 2\n";
-  auto e1 = sm::cached_engine(cache, src);
-  auto e2 = sm::cached_engine(cache, src);
-  EXPECT_EQ(e1.get(), e2.get());
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-}
-
-TEST(CachedEngine, AnyEditRebuilds) {
-  pyhpc::util::SetupCache cache(4, "test.seamless.cache2");
-  auto e1 = sm::cached_engine(cache, "def f(x):\n    return x + 1\n");
-  auto e2 = sm::cached_engine(cache, "def f(x):\n    return x + 2\n");
-  EXPECT_NE(e1.get(), e2.get());
-  EXPECT_EQ(cache.stats().misses, 2u);
-}

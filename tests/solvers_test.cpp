@@ -453,57 +453,3 @@ TEST(SolverFactory, UnknownNamesRejected) {
     EXPECT_THROW((void)sv::solve(a, b, x, pl2), pyhpc::InvalidArgument);
   });
 }
-
-// ---------------------------------------------------------------------------
-// Setup-cached solve facade (DESIGN.md §10)
-// ---------------------------------------------------------------------------
-
-#include "solvers/cached.hpp"
-#include "util/setup_cache.hpp"
-
-TEST_P(KrylovSweep, CachedSolveReusesPreconditionerSetup) {
-  pc::run(GetParam(), [](pc::Communicator& comm) {
-    pyhpc::util::SetupCache cache(8, "test.solvers.cache");
-    auto map = gl::Map::uniform(comm, 48);
-    auto a = gl::laplace1d(map);
-    auto b = gl::rhs_for_ones(a);
-    pyhpc::teuchos::ParameterList pl;
-    pl.set("solver", "cg");
-    pl.set("preconditioner", "ilu0");
-    gl::Vector x1(map, 0.0), x2(map, 0.0);
-    auto r1 = sv::cached_solve(cache, a, b, x1, pl);
-    auto r2 = sv::cached_solve(cache, a, b, x2, pl);
-    EXPECT_TRUE(r1.converged) << r1.summary();
-    EXPECT_TRUE(r2.converged) << r2.summary();
-    EXPECT_LT(solution_error_vs_ones(x1), 1e-6);
-    EXPECT_LT(solution_error_vs_ones(x2), 1e-6);
-    // One miss (the first setup), one hit (the repeat): the structure
-    // key covers matrix sparsity + preconditioner configuration.
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().hits, 1u);
-    // A different preconditioner configuration is a distinct key.
-    pyhpc::teuchos::ParameterList pl2;
-    pl2.set("solver", "cg");
-    pl2.set("preconditioner", "jacobi");
-    gl::Vector x3(map, 0.0);
-    auto r3 = sv::cached_solve(cache, a, b, x3, pl2);
-    EXPECT_TRUE(r3.converged);
-    EXPECT_EQ(cache.stats().misses, 2u);
-  });
-}
-
-TEST(CachedSolve, NonePreconditionerBypassesTheCache) {
-  pc::run(2, [](pc::Communicator& comm) {
-    pyhpc::util::SetupCache cache(4, "test.solvers.cache2");
-    auto map = gl::Map::uniform(comm, 32);
-    auto a = gl::laplace1d(map);
-    auto b = gl::rhs_for_ones(a);
-    pyhpc::teuchos::ParameterList pl;
-    pl.set("solver", "cg");
-    gl::Vector x(map, 0.0);
-    auto res = sv::cached_solve(cache, a, b, x, pl);
-    EXPECT_TRUE(res.converged);
-    EXPECT_EQ(cache.stats().entries, 0u);
-    EXPECT_EQ(cache.stats().misses, 0u);
-  });
-}

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Markdown hygiene gate (CTest `docs_hygiene`, label `docs`).
 #
-# Checks two invariants the docs satellite of each PR must keep:
+# Checks the invariants the top-level docs must keep:
 #   1. Every intra-repo markdown link in the top-level docs resolves to an
 #      existing file or directory (external http(s)/mailto links and pure
 #      #anchors are skipped; a #section suffix on a file link is stripped).
@@ -10,9 +10,11 @@
 #      are added).
 #   3. Every scenario registered in src/scenarios/registry.cpp has an
 #      EXPERIMENTS.md entry (a scenario cannot land undocumented).
-#   4. Every execution-space backend (enum Space in src/util/exec_space.hpp)
-#      is documented in DESIGN.md §11 — adding a backend without writing
-#      down its contract fails the gate.
+#   4. Environment knobs match both ways: every PYHPC_* variable src/
+#      passes to getenv is documented in DESIGN.md §9 and in README.md, and
+#      every PYHPC_* variable §9 lists as "(environment)" is read by src/ —
+#      adding a knob without documenting it, or deleting one and leaving
+#      its docs behind, fails the gate.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -68,25 +70,35 @@ if [ -f "$REG" ] && [ -f "$EXPS" ]; then
              | grep -oE '"[a-z0-9_]+"' | tr -d '"')
 fi
 
-EXEC="$ROOT/src/util/exec_space.hpp"
 DESIGN="$ROOT/DESIGN.md"
-if [ -f "$EXEC" ] && [ -f "$DESIGN" ]; then
-  # Backend enumerators are the kCamelCase names inside `enum class Space`.
-  section="$(awk '/^## 11/ { in_sec = 1 } in_sec && /^## 12/ { exit } in_sec' \
-               "$DESIGN")"
-  if [ -z "$section" ]; then
-    echo "MISSING SECTION: DESIGN.md has no §11 (execution spaces)"
+README="$ROOT/README.md"
+# §9 runs from its "## 9." heading to the next "## " heading.
+knobs="$(awk '/^## 9\./ { in_sec = 1; next } in_sec && /^## / { exit } in_sec' \
+           "$DESIGN")"
+if [ -z "$knobs" ]; then
+  echo "MISSING SECTION: DESIGN.md has no §9 (runtime knobs)"
+  fail=1
+fi
+read_vars="$(grep -rhoE 'getenv\("PYHPC_[A-Z0-9_]+"\)' "$ROOT/src" \
+               | grep -oE 'PYHPC_[A-Z0-9_]+' | sort -u || true)"
+listed_vars="$(printf '%s\n' "$knobs" | grep -E '\(environment\)' \
+                 | grep -oE '`PYHPC_[A-Z0-9_]+' | tr -d '`' | sort -u || true)"
+for var in $read_vars; do
+  if ! printf '%s\n' "$knobs" | grep -q "$var"; then
+    echo "UNDOCUMENTED KNOB: src/ reads $var but DESIGN.md §9 does not list it"
     fail=1
   fi
-  while IFS= read -r backend; do
-    if ! printf '%s' "$section" | grep -q "$backend"; then
-      echo "UNDOCUMENTED BACKEND: $backend has no DESIGN.md §11 entry"
-      fail=1
-    fi
-  done < <(awk '/^enum class Space/ { in_enum = 1; next }
-                in_enum && /^\}/ { exit } in_enum' "$EXEC" \
-             | grep -oE 'k[A-Za-z0-9]+')
-fi
+  if ! grep -q "$var" "$README"; then
+    echo "UNDOCUMENTED KNOB: src/ reads $var but README.md does not list it"
+    fail=1
+  fi
+done
+for var in $listed_vars; do
+  if ! printf '%s\n' "$read_vars" | grep -qx "$var"; then
+    echo "STALE KNOB: DESIGN.md §9 lists $var but nothing in src/ reads it"
+    fail=1
+  fi
+done
 
 if [ "$fail" -ne 0 ]; then
   echo "docs hygiene: FAILED"
