@@ -313,9 +313,9 @@ class Communicator {
     s.p2p_bytes_received += env.payload.size();
     require<CommError>(
         env.payload.size() == buf.size_bytes(),
-        util::cat("recv: message of ", env.payload.size(),
-                  " bytes does not match buffer of ", buf.size_bytes(),
-                  " bytes (source ", env.source, ", tag ", env.tag, ")"));
+        "recv: message of ", env.payload.size(),
+        " bytes does not match buffer of ", buf.size_bytes(),
+        " bytes (source ", env.source, ", tag ", env.tag, ")");
     // Empty payloads carry a null data() pointer; memcpy from (nullptr, 0)
     // is UB, so guard like recv_string does.
     if (!env.payload.empty()) {
@@ -388,8 +388,8 @@ class Communicator {
     s.p2p_bytes_received += env.payload.size();
     require<CommError>(
         env.payload.size() == sizeof(T),
-        util::cat("recv_value_within: message of ", env.payload.size(),
-                  " bytes does not match value of ", sizeof(T), " bytes"));
+        "recv_value_within: message of ", env.payload.size(),
+        " bytes does not match value of ", sizeof(T), " bytes");
     T value{};
     std::memcpy(&value, env.payload.data(), sizeof(T));
     return value;
@@ -1363,16 +1363,16 @@ class Communicator {
 
   void check_user_tag(int tag) const {
     require<CommError>(tag >= 0 && tag < kMaxUserTag,
-                       util::cat("tag ", tag, " outside user range [0, ",
-                                 kMaxUserTag, ")"));
+                       "tag ", tag, " outside user range [0, ", kMaxUserTag,
+                       ")");
   }
   void check_user_tag_or_any(int tag) const {
     if (tag != kAnyTag) check_user_tag(tag);
   }
   void check_internal_tag(int tag) const {
     require<CommError>(tag >= kInternalP2PBase,
-                       util::cat("internal p2p tag ", tag,
-                                 " below reserved base ", kInternalP2PBase));
+                       "internal p2p tag ", tag, " below reserved base ",
+                       kInternalP2PBase);
   }
   void check_root(int root) const {
     require<CommError>(root >= 0 && root < size(),
@@ -1442,8 +1442,8 @@ class Communicator {
   /// hands the envelope to Context::deliver.
   void send_buffer(Buffer payload, int dest, int tag, bool internal) {
     require<CommError>(dest >= 0 && dest < size(),
-                       util::cat("send: destination rank ", dest,
-                                 " out of range [0, ", size(), ")"));
+                       "send: destination rank ", dest,
+                       " out of range [0, ", size(), ")");
     // A killed rank discovers its own death the moment it touches the
     // substrate again.
     if (ctx_->is_killed(rank_)) {
@@ -1951,7 +1951,7 @@ class Communicator {
         call == CollectiveAlgo::kAuto ? CollectiveAlgo::kBinomial : call;
     require<CommError>(
         a == CollectiveAlgo::kLinear || a == CollectiveAlgo::kBinomial,
-        util::cat(what, ": unsupported algorithm"));
+        what, ": unsupported algorithm");
     return a;
   }
 

@@ -32,8 +32,8 @@ Context::Context(int nranks, CommConfig config)
 
 Mailbox& Context::mailbox(int rank) {
   require<CommError>(rank >= 0 && rank < size(),
-                     util::cat("Context::mailbox: rank ", rank,
-                               " out of range [0, ", size(), ")"));
+                     "Context::mailbox: rank ", rank,
+                     " out of range [0, ", size(), ")");
   return *mailboxes_[static_cast<std::size_t>(rank)];
 }
 
@@ -45,8 +45,8 @@ CommStats& Context::stats(int rank) {
 
 void Context::deliver(int dest, Envelope env) {
   require<CommError>(dest >= 0 && dest < size(),
-                     util::cat("Context::deliver: rank ", dest,
-                               " out of range [0, ", size(), ")"));
+                     "Context::deliver: rank ", dest,
+                     " out of range [0, ", size(), ")");
   // A dead rank sends nothing, and messages to the dead are never read —
   // drop both so the simulated crash does not leak buffered traffic.
   if (is_killed(env.source) || is_killed(dest)) return;

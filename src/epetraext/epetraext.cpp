@@ -69,7 +69,7 @@ void write_matrix_market(const Matrix& a, const std::string& path) {
   if (a.row_map().rank() != 0) return;
 
   std::ofstream out(path);
-  require(out.good(), "write_matrix_market: cannot open " + path);
+  require(out.good(), "write_matrix_market: cannot open ", path);
   std::size_t nnz = 0;
   for (const auto& c : chunks) nnz += c.size();
   out << "%%MatrixMarket matrix coordinate real general\n";
@@ -81,14 +81,14 @@ void write_matrix_market(const Matrix& a, const std::string& path) {
       out << t.row + 1 << " " << t.col + 1 << " " << t.val << "\n";
     }
   }
-  require(out.good(), "write_matrix_market: write failed for " + path);
+  require(out.good(), "write_matrix_market: write failed for ", path);
 }
 
 Matrix read_matrix_market(comm::Communicator& comm, const std::string& path) {
   std::string content;
   if (comm.rank() == 0) {
     std::ifstream in(path);
-    require(in.good(), "read_matrix_market: cannot open " + path);
+    require(in.good(), "read_matrix_market: cannot open ", path);
     std::ostringstream ss;
     ss << in.rdbuf();
     content = ss.str();
@@ -119,9 +119,8 @@ Matrix read_matrix_market(comm::Communicator& comm, const std::string& path) {
     // Checked on every rank before the ownership test: an out-of-range
     // row is owned by no rank, so only this check can reject it.
     require(r >= 1 && r <= nrows && c >= 1 && c <= ncols,
-            util::cat("read_matrix_market: entry ", k + 1, " (", r, ", ", c,
-                      ") lies outside the ", nrows, " x ", ncols,
-                      " matrix"));
+            "read_matrix_market: entry ", k + 1, " (", r, ", ", c,
+            ") lies outside the ", nrows, " x ", ncols, " matrix");
     if (map.is_local_global_index(r - 1)) {
       a.insert_global_value(r - 1, c - 1, v);
     }
@@ -134,7 +133,7 @@ void write_vector_market(const Vector& v, const std::string& path) {
   auto full = v.gather_global();
   if (v.map().rank() != 0) return;
   std::ofstream out(path);
-  require(out.good(), "write_vector_market: cannot open " + path);
+  require(out.good(), "write_vector_market: cannot open ", path);
   out << "%%MatrixMarket matrix array real general\n";
   out << full.size() << " 1\n";
   out.precision(17);
@@ -146,7 +145,7 @@ Vector read_vector_market(comm::Communicator& comm, const std::string& path) {
   std::string content;
   if (comm.rank() == 0) {
     std::ifstream in(path);
-    require(in.good(), "read_vector_market: cannot open " + path);
+    require(in.good(), "read_vector_market: cannot open ", path);
     std::ostringstream ss;
     ss << in.rdbuf();
     content = ss.str();

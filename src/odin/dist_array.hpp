@@ -461,8 +461,7 @@ template <class F>
 DistArray<T> DistArray<T>::zip(const DistArray& other, F&& f,
                                ConformStrategy strategy) const {
   require<ShapeError>(shape() == other.shape(),
-                      util::cat("zip: shapes differ: ", shape().to_string(),
-                                " vs ", other.shape().to_string()));
+                      "zip: shapes differ: ", shape(), " vs ", other.shape());
   if (dist_->conformable(other.dist())) return zip_local(other, f);
   // Non-conformable: align layouts first.
   switch (strategy) {

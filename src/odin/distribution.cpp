@@ -32,8 +32,8 @@ void Distribution::finalize() {
     total *= spec.procs;
   }
   require(total == comm_->size() || (grid_.empty() && comm_->size() >= 1),
-          util::cat("Distribution: process grid covers ", total,
-                    " ranks but the communicator has ", comm_->size()));
+          "Distribution: process grid covers ", total,
+          " ranks but the communicator has ", comm_->size());
 }
 
 Distribution Distribution::block(comm::Communicator& comm, Shape shape,

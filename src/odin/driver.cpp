@@ -453,8 +453,7 @@ const std::vector<double>& DriverContext::segment_at(std::int32_t session,
                                                      std::int32_t id) const {
   auto it = segments_.find(segment_key(session, id));
   require(it != segments_.end(),
-          util::cat("driver worker: unknown array id ", id, " in session ",
-                    session));
+          "driver worker: unknown array id ", id, " in session ", session);
   return it->second;
 }
 

@@ -230,13 +230,11 @@ template <class E>
 const Distribution& reduce_dist(const E& expr, const char* what) {
   const Distribution* dist = expr.dist();
   require<ShapeError>(dist != nullptr,
-                      util::cat(what,
-                                ": expression references no array (all "
-                                "scalars)"));
+                      what, ": expression references no array (all scalars)");
   require<ShapeError>(expr.conformable_with(*dist),
-                      util::cat(what,
-                                ": operands are not conformable; "
-                                "redistribute before fusing"));
+                      what,
+                      ": operands are not conformable; redistribute before "
+                      "fusing");
   return *dist;
 }
 

@@ -25,7 +25,7 @@ class File {
  public:
   File(const std::string& path, int flags, mode_t mode = 0644)
       : fd_(::open(path.c_str(), flags, mode)) {
-    require(fd_ >= 0, "odin io: cannot open " + path);
+    require(fd_ >= 0, "odin io: cannot open ", path);
   }
   ~File() {
     if (fd_ >= 0) ::close(fd_);
@@ -125,7 +125,7 @@ Shape read_stored_shape(comm::Communicator& comm, const std::string& path) {
   if (comm.rank() == 0) {
     File f(path, O_RDONLY);
     f.pread_all(&h, sizeof(h), 0);
-    require(h.magic == kMagic, "odin io: bad magic in " + path);
+    require(h.magic == kMagic, "odin io: bad magic in ", path);
     require(h.elem_size == sizeof(double), "odin io: element size mismatch");
     require(h.ndim >= 0 && h.ndim <= kMaxDims, "odin io: bad rank");
   }
@@ -140,9 +140,9 @@ DistArray<double> read_distributed(const Distribution& dist,
   auto& comm = dist.comm();
   const Shape stored = read_stored_shape(comm, path);
   require<ShapeError>(stored == dist.global_shape(),
-                      "odin io: stored shape " + stored.to_string() +
-                          " does not match requested distribution " +
-                          dist.global_shape().to_string());
+                      "odin io: stored shape ", stored,
+                      " does not match requested distribution ",
+                      dist.global_shape());
 
   DistArray<double> a(dist);
   File f(path, O_RDONLY);

@@ -21,7 +21,7 @@ bool LocalRegistry::has(const std::string& name) const {
 LocalFunction LocalRegistry::get(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = fns_.find(name);
-  require(it != fns_.end(), "LocalRegistry: no local function '" + name + "'");
+  require(it != fns_.end(), "LocalRegistry: no local function '", name, "'");
   return it->second;
 }
 

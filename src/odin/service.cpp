@@ -145,7 +145,7 @@ Session ServiceContext::open_session() {
 ServiceContext::SessionState& ServiceContext::state_locked(std::int32_t sid) {
   auto it = sessions_.find(sid);
   require(it != sessions_.end() && it->second.open,
-          util::cat("ServiceContext: session ", sid, " is not open"));
+          "ServiceContext: session ", sid, " is not open");
   return it->second;
 }
 

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,11 @@ class Shape {
     parts.reserve(dims_.size());
     for (auto d : dims_) parts.push_back(std::to_string(d));
     return "(" + util::join(parts, ", ") + ")";
+  }
+
+  /// Streams to_string(), so a Shape can be a require() message part.
+  friend std::ostream& operator<<(std::ostream& os, const Shape& s) {
+    return os << s.to_string();
   }
 
  private:

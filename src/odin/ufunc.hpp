@@ -148,13 +148,13 @@ class UfuncRegistry {
 
   const Unary& unary(const std::string& name) const {
     auto it = unary_.find(name);
-    require(it != unary_.end(), "UfuncRegistry: no unary ufunc '" + name + "'");
+    require(it != unary_.end(), "UfuncRegistry: no unary ufunc '", name, "'");
     return it->second;
   }
   const Binary& binary(const std::string& name) const {
     auto it = binary_.find(name);
     require(it != binary_.end(),
-            "UfuncRegistry: no binary ufunc '" + name + "'");
+            "UfuncRegistry: no binary ufunc '", name, "'");
     return it->second;
   }
 

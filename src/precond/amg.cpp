@@ -2,13 +2,52 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <map>
-#include <unordered_map>
+#include <numeric>
 
 #include "util/task_pool.hpp"
 
 namespace pyhpc::precond {
+namespace {
+
+// Dense accumulator for one sparse row at a time, over columns [0, size),
+// with a touched list: resetting costs the row's length, and an entry that
+// sums to zero still counts as present (the list records structure, not
+// values).
+class RowAccumulator {
+ public:
+  explicit RowAccumulator(std::size_t size)
+      : value_(size, 0.0), seen_(size, 0) {}
+
+  double& operator[](LO col) {
+    const auto c = static_cast<std::size_t>(col);
+    if (!seen_[c]) {
+      seen_[c] = 1;
+      touched_.push_back(col);
+    }
+    return value_[c];
+  }
+
+  /// Hands every touched (col, value) to emit — in ascending column order
+  /// when `sorted`, else in first-touch order — and resets the row.
+  template <class Emit>
+  void drain(bool sorted, Emit&& emit) {
+    if (sorted) std::sort(touched_.begin(), touched_.end());
+    for (LO col : touched_) {
+      const auto c = static_cast<std::size_t>(col);
+      emit(col, value_[c]);
+      value_[c] = 0.0;
+      seen_[c] = 0;
+    }
+    touched_.clear();
+  }
+
+ private:
+  std::vector<double> value_;
+  std::vector<char> seen_;
+  std::vector<LO> touched_;
+};
+
+}  // namespace
 
 AmgPreconditioner::AmgPreconditioner(const Matrix& a, AmgOptions options)
     : options_(options) {
@@ -18,6 +57,7 @@ AmgPreconditioner::AmgPreconditioner(const Matrix& a, AmgOptions options)
 }
 
 void AmgPreconditioner::build_hierarchy(std::shared_ptr<Matrix> a) {
+  bool stalled = false;
   for (int lvl = 0; lvl < options_.max_levels; ++lvl) {
     levels_.emplace_back(a);
     Level& level = levels_.back();
@@ -42,11 +82,17 @@ void AmgPreconditioner::build_hierarchy(std::shared_ptr<Matrix> a) {
     // A stalled coarsening (no global reduction) ends the hierarchy.
     if (level.coarse_map->num_global() >= a->row_map().num_global()) {
       level.coarse_map.reset();
+      stalled = true;
       break;
     }
 
     a = build_transfer_and_coarse(level, agg_of);
+    level.rc.emplace(*level.coarse_map);
+    level.ec.emplace(*level.coarse_map);
   }
+  // A level that could not coarsen may be arbitrarily large: it is smoothed
+  // (see vcycle), never densely factored.
+  if (stalled) return;
 
   // Replicated dense LU of the coarsest operator.
   const Matrix& coarse = *levels_.back().a;
@@ -144,9 +190,14 @@ std::shared_ptr<Matrix> AmgPreconditioner::build_transfer_and_coarse(
   const Matrix& a = *level.a;
   const Map& fmap = a.row_map();
   const Map& cmap = *level.coarse_map;
+  const Map& colmap = a.col_map();
   auto& comm = fmap.comm();
   const int nranks = comm.size();
   const LO n = fmap.num_local();
+  const LO ncols = colmap.num_local();
+  const std::int64_t* arp = a.row_ptr().data();
+  const LO* aci = a.col_ind().data();
+  const double* ava = a.values().data();
 
   // Global aggregate id per fine row, ghosted into the column layout so the
   // smoothing sum can see the aggregates of remote neighbours.
@@ -154,79 +205,90 @@ std::shared_ptr<Matrix> AmgPreconditioner::build_transfer_and_coarse(
   for (LO i = 0; i < n; ++i) {
     agg_gid[i] = cmap.local_to_global(agg_of[static_cast<std::size_t>(i)]);
   }
-  tpetra::Vector<GO> agg_gid_ghost(a.col_map());
+  tpetra::Vector<GO> agg_gid_ghost(colmap);
   agg_gid_ghost.do_import(agg_gid, a.importer(), tpetra::CombineMode::kInsert);
 
-  // Prolongator rows as (coarse gid -> weight) maps:
-  //   P(i, :) = e_{agg(i)} - omega * d_i^{-1} * sum_j A(i,j) e_{agg(j)}.
   double omega = 0.0;
   if (options_.prolongator_damping > 0.0) {
     omega = options_.prolongator_damping /
             estimate_diag_scaled_lambda_max(a, level.inv_diag);
   }
-  auto row_ptr = a.row_ptr();
-  auto col_ind = a.col_ind();
-  auto vals = a.values();
-  std::vector<std::map<GO, double>> prows(static_cast<std::size_t>(n));
-  for (LO i = 0; i < n; ++i) {
-    auto& row = prows[static_cast<std::size_t>(i)];
-    row[agg_gid[i]] += 1.0;
-    if (omega != 0.0) {
-      for (auto k = row_ptr[static_cast<std::size_t>(i)];
-           k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-        const GO target = agg_gid_ghost[col_ind[static_cast<std::size_t>(k)]];
-        row[target] -= omega * level.inv_diag[i] *
-                       vals[static_cast<std::size_t>(k)];
-      }
-    }
-  }
 
-  // Compress into local CSR over an overlap map of the referenced coarse
-  // gids (owned aggregates may appear plus remote neighbours).
-  std::vector<GO> referenced;
-  for (const auto& row : prows) {
-    for (const auto& [g, w] : row) referenced.push_back(g);
-  }
+  // The coarse gids P references, sorted (an overlap index orders like its
+  // gid): the aggregate of every column-map entry when P is smoothed — the
+  // owned columns are the owned rows, and each ghost column sits in some
+  // row — else only the owned rows' aggregates. ref_of maps a column-map
+  // lid to its overlap index.
+  const GO* agc = agg_gid_ghost.local_view().data();
+  const LO nref = omega != 0.0 ? ncols : n;
+  std::vector<GO> referenced(agc, agc + nref);
   std::sort(referenced.begin(), referenced.end());
   referenced.erase(std::unique(referenced.begin(), referenced.end()),
                    referenced.end());
-  std::unordered_map<GO, LO> ref_index;
-  ref_index.reserve(referenced.size());
-  for (std::size_t k = 0; k < referenced.size(); ++k) {
-    ref_index.emplace(referenced[k], static_cast<LO>(k));
+  const auto index_in = [](const std::vector<GO>& sorted, GO g) {
+    return static_cast<LO>(std::lower_bound(sorted.begin(), sorted.end(), g) -
+                           sorted.begin());
+  };
+  std::vector<LO> ref_of(static_cast<std::size_t>(nref));
+  for (LO c = 0; c < nref; ++c) ref_of[c] = index_in(referenced, agc[c]);
+  const auto m = static_cast<LO>(referenced.size());
+
+  // Prolongator rows, each summed in the accumulator and emitted in
+  // ascending column order:
+  //   P(i, :) = e_{agg(i)} - omega * d_i^{-1} * sum_j A(i,j) e_{agg(j)}.
+  Prolongator& p = level.p;
+  RowAccumulator acc(static_cast<std::size_t>(m));
+  p.row_ptr.assign(1, 0);
+  for (LO i = 0; i < n; ++i) {
+    acc[ref_of[i]] += 1.0;
+    if (omega != 0.0) {
+      for (auto k = arp[i]; k < arp[i + 1]; ++k) {
+        acc[ref_of[aci[k]]] -= omega * level.inv_diag[i] * ava[k];
+      }
+    }
+    acc.drain(/*sorted=*/true, [&](LO c, double w) {
+      p.col.push_back(c);
+      p.val.push_back(w);
+    });
+    p.row_ptr.push_back(static_cast<std::int64_t>(p.col.size()));
   }
 
-  Prolongator& p = level.p;
-  p.row_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (LO i = 0; i < n; ++i) {
-    p.row_ptr[static_cast<std::size_t>(i) + 1] =
-        p.row_ptr[static_cast<std::size_t>(i)] +
-        static_cast<std::int64_t>(prows[static_cast<std::size_t>(i)].size());
-  }
-  p.col.resize(static_cast<std::size_t>(p.row_ptr.back()));
-  p.val.resize(static_cast<std::size_t>(p.row_ptr.back()));
-  for (LO i = 0; i < n; ++i) {
-    std::size_t k = static_cast<std::size_t>(p.row_ptr[static_cast<std::size_t>(i)]);
-    for (const auto& [g, w] : prows[static_cast<std::size_t>(i)]) {
-      p.col[k] = ref_index.at(g);
-      p.val[k] = w;
-      ++k;
+  // P^T in CSR by a counting sort over columns; walking the fine rows in
+  // order leaves every P^T row's fine rows ascending.
+  const std::int64_t* prp = p.row_ptr.data();
+  const LO* pci = p.col.data();
+  const double* pva = p.val.data();
+  p.t_row_ptr.assign(static_cast<std::size_t>(m) + 1, 0);
+  for (LO c : p.col) ++p.t_row_ptr[c + 1];
+  std::partial_sum(p.t_row_ptr.begin(), p.t_row_ptr.end(),
+                   p.t_row_ptr.begin());
+  p.t_col.resize(p.col.size());
+  p.t_val.resize(p.val.size());
+  {
+    std::vector<std::int64_t> next(p.t_row_ptr.begin(), p.t_row_ptr.end() - 1);
+    for (LO i = 0; i < n; ++i) {
+      for (auto k = prp[i]; k < prp[i + 1]; ++k) {
+        const auto at = next[pci[k]]++;
+        p.t_col[at] = i;
+        p.t_val[at] = pva[k];
+      }
     }
   }
   p.overlap_map = std::make_shared<Map>(
       Map::from_global_indices(comm, std::span<const GO>(referenced)));
   p.import_plan = std::make_shared<tpetra::Import<>>(cmap, *p.overlap_map);
+  p.ghost.emplace(*p.overlap_map);
+  p.contrib.emplace(*p.overlap_map);
 
-  // ---- Galerkin A_c = P^T A P -------------------------------------------
-  // Ghost fine rows' P entries are needed for the j side of the product:
-  // request them from their owners.
-  const Map& colmap = a.col_map();
-  std::vector<std::vector<GO>> requests(static_cast<std::size_t>(nranks));
+  // ---- Galerkin A_c = P^T (A P) ------------------------------------------
+  // A P needs the P rows of ghost fine columns: request them from their
+  // owners.
   std::vector<GO> ghost_gids;
-  for (LO c = n; c < colmap.num_local(); ++c) {
+  for (LO c = n; c < ncols; ++c) {
     ghost_gids.push_back(colmap.local_to_global(c));
   }
   auto owners = fmap.remote_index_list(std::span<const GO>(ghost_gids));
+  std::vector<std::vector<GO>> requests(static_cast<std::size_t>(nranks));
   for (std::size_t k = 0; k < ghost_gids.size(); ++k) {
     require<MapError>(owners[k].first >= 0, "AMG: unowned ghost fine index");
     requests[static_cast<std::size_t>(owners[k].first)].push_back(
@@ -245,78 +307,96 @@ std::shared_ptr<Matrix> AmgPreconditioner::build_transfer_and_coarse(
       const LO li = fmap.global_to_local(fine);
       require<MapError>(li != tpetra::kInvalidLocal<LO>,
                         "AMG: P-row request for non-owned fine index");
-      for (auto k = p.row_ptr[static_cast<std::size_t>(li)];
-           k < p.row_ptr[static_cast<std::size_t>(li) + 1]; ++k) {
-        replies[static_cast<std::size_t>(r)].push_back(PEntry{
-            fine,
-            p.overlap_map->local_to_global(p.col[static_cast<std::size_t>(k)]),
-            p.val[static_cast<std::size_t>(k)]});
+      for (auto k = prp[li]; k < prp[li + 1]; ++k) {
+        replies[static_cast<std::size_t>(r)].push_back(
+            PEntry{fine, referenced[pci[k]], pva[k]});
       }
     }
   }
   auto incoming_rows = comm.alltoallv(replies);
-  std::unordered_map<GO, std::vector<std::pair<GO, double>>> ghost_prows;
+
+  // Coarse columns of A P: the referenced gids plus those only ghost P rows
+  // reach, sorted. Local P rows map in through ext_of_ref; ghost P rows are
+  // indexed by column-map lid - n.
+  std::vector<GO> ext = referenced;
+  for (const auto& part : incoming_rows) {
+    for (const auto& e : part) ext.push_back(e.coarse);
+  }
+  std::sort(ext.begin(), ext.end());
+  ext.erase(std::unique(ext.begin(), ext.end()), ext.end());
+  std::vector<LO> ext_of_ref(static_cast<std::size_t>(m));
+  for (LO k = 0; k < m; ++k) ext_of_ref[k] = index_in(ext, referenced[k]);
+  std::vector<std::vector<std::pair<LO, double>>> ghost_prows(
+      static_cast<std::size_t>(ncols - n));
   for (const auto& part : incoming_rows) {
     for (const auto& e : part) {
-      ghost_prows[e.fine].emplace_back(e.coarse, e.w);
+      ghost_prows[colmap.global_to_local(e.fine) - n].emplace_back(
+          index_in(ext, e.coarse), e.w);
     }
   }
 
-  // Accumulate triple-product contributions; rows of A_c may belong to
-  // remote ranks (smoothed P couples local fine rows to remote aggregates),
-  // so route triples by owner before insertion.
+  // A P, one local fine row at a time.
+  RowAccumulator acc_ext(ext.size());
+  std::vector<std::int64_t> ap_ptr{0};
+  std::vector<LO> ap_col;
+  std::vector<double> ap_val;
+  for (LO i = 0; i < n; ++i) {
+    for (auto k = arp[i]; k < arp[i + 1]; ++k) {
+      const LO j = aci[k];
+      const double aij = ava[k];
+      if (j < n) {
+        for (auto q = prp[j]; q < prp[j + 1]; ++q) {
+          acc_ext[ext_of_ref[pci[q]]] += aij * pva[q];
+        }
+      } else {
+        for (const auto& [c, w] : ghost_prows[j - n]) acc_ext[c] += aij * w;
+      }
+    }
+    acc_ext.drain(/*sorted=*/false, [&](LO c, double v) {
+      ap_col.push_back(c);
+      ap_val.push_back(v);
+    });
+    ap_ptr.push_back(static_cast<std::int64_t>(ap_col.size()));
+  }
+
+  // P^T (A P), one coarse row per P^T row. Rows of A_c may belong to
+  // remote ranks (smoothed P couples local fine rows to remote
+  // aggregates), so each row is routed to its owner.
   struct Triple {
     GO row;
     GO col;
     double val;
   };
   std::vector<std::vector<Triple>> outgoing(static_cast<std::size_t>(nranks));
-  // Local accumulation map to compress duplicates before shipping.
-  std::map<std::pair<GO, GO>, double> acc;
-
-  auto p_row_of_local = [&](LO i) {
-    std::vector<std::pair<GO, double>> out;
-    for (auto k = p.row_ptr[static_cast<std::size_t>(i)];
-         k < p.row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-      out.emplace_back(
-          p.overlap_map->local_to_global(p.col[static_cast<std::size_t>(k)]),
-          p.val[static_cast<std::size_t>(k)]);
-    }
-    return out;
-  };
-
-  for (LO i = 0; i < n; ++i) {
-    const auto pi = p_row_of_local(i);
-    for (auto k = row_ptr[static_cast<std::size_t>(i)];
-         k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-      const LO cj = col_ind[static_cast<std::size_t>(k)];
-      const double aij = vals[static_cast<std::size_t>(k)];
-      const std::vector<std::pair<GO, double>>* pj = nullptr;
-      std::vector<std::pair<GO, double>> pj_local;
-      if (cj < n) {
-        pj_local = p_row_of_local(cj);
-        pj = &pj_local;
-      } else {
-        pj = &ghost_prows.at(colmap.local_to_global(cj));
-      }
-      for (const auto& [bigK, pik] : pi) {
-        for (const auto& [bigL, pjl] : *pj) {
-          acc[{bigK, bigL}] += pik * aij * pjl;
-        }
+  for (LO kc = 0; kc < m; ++kc) {
+    for (auto t = p.t_row_ptr[kc]; t < p.t_row_ptr[kc + 1]; ++t) {
+      const LO i = p.t_col[t];
+      const double pik = p.t_val[t];
+      for (auto q = ap_ptr[i]; q < ap_ptr[i + 1]; ++q) {
+        acc_ext[ap_col[q]] += pik * ap_val[q];
       }
     }
-  }
-  for (const auto& [key, v] : acc) {
-    const int owner = cmap.owner_of(key.first);
-    outgoing[static_cast<std::size_t>(owner)].push_back(
-        Triple{key.first, key.second, v});
+    const GO row = referenced[kc];
+    auto& out = outgoing[static_cast<std::size_t>(cmap.owner_of(row))];
+    acc_ext.drain(/*sorted=*/false, [&](LO c, double v) {
+      out.push_back(Triple{row, ext[c], v});
+    });
   }
   auto incoming_triples = comm.alltoallv(outgoing);
 
   auto coarse = std::make_shared<Matrix>(cmap);
+  std::vector<GO> cols;
+  std::vector<double> row_vals;
   for (const auto& part : incoming_triples) {
-    for (const auto& t : part) {
-      coarse->insert_global_value(t.row, t.col, t.val);
+    for (std::size_t s = 0; s < part.size();) {
+      const GO row = part[s].row;
+      cols.clear();
+      row_vals.clear();
+      for (; s < part.size() && part[s].row == row; ++s) {
+        cols.push_back(part[s].col);
+        row_vals.push_back(part[s].val);
+      }
+      coarse->insert_global_values(row, cols, row_vals);
     }
   }
   coarse->fill_complete();
@@ -325,12 +405,10 @@ std::shared_ptr<Matrix> AmgPreconditioner::build_transfer_and_coarse(
 
 void AmgPreconditioner::Prolongator::prolongate(const Vector& ec,
                                                 Vector& z) const {
-  Vector ghost(*overlap_map);
-  ghost.do_import(ec, *import_plan, tpetra::CombineMode::kInsert);
+  ghost->do_import(ec, *import_plan, tpetra::CombineMode::kInsert);
   // Rows of P are independent, so the interpolation sweep threads over row
-  // blocks like SpMV. (restrict_to stays serial: it scatters into shared
-  // overlap entries.)
-  const double* gv = ghost.local_view().data();
+  // blocks like SpMV.
+  const double* gv = ghost->local_view().data();
   double* zv = z.local_view().data();
   const std::int64_t* rp = row_ptr.data();
   const LO* ci = col.data();
@@ -349,31 +427,55 @@ void AmgPreconditioner::Prolongator::prolongate(const Vector& ec,
 
 void AmgPreconditioner::Prolongator::restrict_to(const Vector& r,
                                                  Vector& rc) const {
-  Vector contrib(*overlap_map, 0.0);
-  const LO n = r.local_size();
-  for (LO i = 0; i < n; ++i) {
-    for (auto k = row_ptr[static_cast<std::size_t>(i)];
-         k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-      contrib[col[static_cast<std::size_t>(k)]] +=
-          val[static_cast<std::size_t>(k)] * r[i];
-    }
-  }
+  // A gather through P^T: rows are independent, so it threads like
+  // prolongation, and each overlap entry sums its fine rows in ascending
+  // order from 0 — exactly the serial scatter's order, so the sums are
+  // bit-identical to it.
+  const double* rv = r.local_view().data();
+  double* cv = contrib->local_view().data();
+  const std::int64_t* rp = t_row_ptr.data();
+  const LO* ci = t_col.data();
+  const double* va = t_val.data();
+  util::parallel_for(
+      0, static_cast<std::int64_t>(contrib->local_size()), tpetra::kRowGrain,
+      [=](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t k = lo; k < hi; ++k) {
+          double acc = 0.0;
+          const std::int64_t end = rp[k + 1];
+          for (std::int64_t q = rp[k]; q < end; ++q) acc += va[q] * rv[ci[q]];
+          cv[k] = acc;
+        }
+      });
   rc.put_scalar(0.0);
-  import_plan->apply_reverse<double>(contrib.local_view(), rc.local_view(),
+  import_plan->apply_reverse<double>(contrib->local_view(), rc.local_view(),
                                      tpetra::CombineMode::kAdd);
 }
 
 void AmgPreconditioner::smooth(const Level& level, const Vector& r, Vector& z,
-                               int sweeps) const {
-  Vector az(level.a->range_map());
+                               int sweeps, bool from_zero) const {
   const double* rv = r.local_view().data();
   const double* dv = level.inv_diag.local_view().data();
-  const double* azv = az.local_view().data();
+  const double* azv = level.az.local_view().data();
   double* zv = z.local_view().data();
   const double omega = options_.jacobi_omega;
   const auto n = static_cast<std::int64_t>(z.local_size());
-  for (int s = 0; s < sweeps; ++s) {
-    level.a->apply(z, az);
+  int s = 0;
+  if (from_zero) {
+    if (sweeps == 0) {
+      z.put_scalar(0.0);
+      return;
+    }
+    // z = 0, so A z = 0 and the sweep reduces to z = omega D^{-1} r.
+    util::parallel_for(0, n, util::kDefaultGrain,
+                       [=](std::int64_t lo, std::int64_t hi) {
+                         for (std::int64_t i = lo; i < hi; ++i) {
+                           zv[i] = omega * dv[i] * rv[i];
+                         }
+                       });
+    s = 1;
+  }
+  for (; s < sweeps; ++s) {
+    level.a->apply(z, level.az);
     util::parallel_for(0, n, util::kDefaultGrain,
                        [=](std::int64_t lo, std::int64_t hi) {
                          for (std::int64_t i = lo; i < hi; ++i) {
@@ -387,33 +489,37 @@ void AmgPreconditioner::vcycle(std::size_t lvl, const Vector& r,
                                Vector& z) const {
   const Level& level = levels_[lvl];
   if (lvl + 1 == levels_.size()) {
+    if (!coarse_lu_) {
+      // Coarsening stalled here: smooth instead of a direct solve.
+      smooth(level, r, z,
+             options_.pre_smooth_sweeps + options_.post_smooth_sweeps,
+             /*from_zero=*/true);
+      return;
+    }
     // Coarsest: replicated dense solve.
-    auto rg = r.gather_global();
-    auto xg = coarse_lu_->solve(rg);
+    auto x = r.gather_global();
+    coarse_lu_->solve_in_place(x);
     const Map& map = level.a->row_map();
     for (LO i = 0; i < map.num_local(); ++i) {
-      z[i] = xg[static_cast<std::size_t>(map.local_to_global(i))];
+      z[i] = x[static_cast<std::size_t>(map.local_to_global(i))];
     }
     return;
   }
 
-  smooth(level, r, z, options_.pre_smooth_sweeps);
+  smooth(level, r, z, options_.pre_smooth_sweeps, /*from_zero=*/true);
 
-  Vector resid(level.a->range_map());
+  Vector& resid = level.az;
   level.a->apply(z, resid);
   resid.update(1.0, r, -1.0);
 
-  Vector rc(*level.coarse_map);
-  level.p.restrict_to(resid, rc);
-  Vector ec(*level.coarse_map, 0.0);
-  vcycle(lvl + 1, rc, ec);
-  level.p.prolongate(ec, z);
+  level.p.restrict_to(resid, *level.rc);
+  vcycle(lvl + 1, *level.rc, *level.ec);
+  level.p.prolongate(*level.ec, z);
 
-  smooth(level, r, z, options_.post_smooth_sweeps);
+  smooth(level, r, z, options_.post_smooth_sweeps, /*from_zero=*/false);
 }
 
 void AmgPreconditioner::apply(const Vector& r, Vector& z) const {
-  z.put_scalar(0.0);
   vcycle(0, r, z);
 }
 

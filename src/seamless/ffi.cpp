@@ -65,8 +65,8 @@ std::vector<std::string> CModule::function_names() const {
 std::size_t CModule::arity(const std::string& fn_name) const {
   auto it = bindings_.find(fn_name);
   require<RuntimeFault>(it != bindings_.end(),
-                        "CModule '" + name_ + "' has no function '" + fn_name +
-                            "'");
+                        "CModule '", name_, "' has no function '", fn_name,
+                        "'");
   return it->second.arity;
 }
 
@@ -74,8 +74,8 @@ Value CModule::call(const std::string& fn_name,
                     std::span<const Value> args) const {
   auto it = bindings_.find(fn_name);
   require<RuntimeFault>(it != bindings_.end(),
-                        "CModule '" + name_ + "' has no function '" + fn_name +
-                            "'");
+                        "CModule '", name_, "' has no function '", fn_name,
+                        "'");
   return it->second.fn(args);
 }
 

@@ -93,7 +93,7 @@ Value Interpreter::call(const std::string& name,
                         std::vector<Value> args) const {
   auto it = functions_.find(name);
   require<RuntimeFault>(it != functions_.end(),
-                        "no function '" + name + "' in module");
+                        "no function '", name, "' in module");
   return call_function(*it->second, std::move(args), 0);
 }
 

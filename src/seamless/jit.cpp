@@ -65,11 +65,11 @@ class TypeInferencer {
                  const std::vector<JitType>& params)
       : module_(&module) {
     require<CompileError>(params.size() == fn.params.size(),
-                          fn.name + ": parameter count mismatch");
+                          fn.name, ": parameter count mismatch");
     for (std::size_t i = 0; i < params.size(); ++i) {
       require<CompileError>(params[i] != JitType::kUnknown &&
                                 params[i] != JitType::kNone,
-                            fn.name + ": untyped parameter");
+                            fn.name, ": untyped parameter");
       vars_[fn.params[i]] = params[i];
       param_locked_.insert(fn.params[i]);
     }
@@ -1179,7 +1179,7 @@ double JitFunction::run(std::vector<std::int64_t>& I, std::vector<double>& F,
 
 Value JitFunction::call(std::span<const Value> args) const {
   require<RuntimeFault>(args.size() == param_types_.size(),
-                        name_ + "(): argument count mismatch");
+                        name_, "(): argument count mismatch");
   std::vector<std::int64_t> I(static_cast<std::size_t>(num_iregs_), 0);
   std::vector<double> F(static_cast<std::size_t>(num_fregs_), 0.0);
   std::vector<std::span<double>> A(static_cast<std::size_t>(num_aregs_));
@@ -1191,7 +1191,7 @@ Value JitFunction::call(std::span<const Value> args) const {
         break;
       case JitType::kArray:
         require<RuntimeFault>(args[i].is_array(),
-                              name_ + "(): expected an array argument");
+                              name_, "(): expected an array argument");
         A[reg] = args[i].as_array()->span();
         break;
       default:
@@ -1213,7 +1213,7 @@ double JitFunction::call_array_to_float(std::span<double> array) const {
   require<RuntimeFault>(
       param_types_.size() == 1 && param_types_[0] == JitType::kArray &&
           return_type_ == JitType::kFloat,
-      name_ + "(): signature is not (array) -> float");
+      name_, "(): signature is not (array) -> float");
   std::vector<std::int64_t> I(static_cast<std::size_t>(num_iregs_), 0);
   std::vector<double> F(static_cast<std::size_t>(num_fregs_), 0.0);
   std::vector<std::span<double>> A(static_cast<std::size_t>(num_aregs_));

@@ -32,7 +32,7 @@ const CompiledFunction& VirtualMachine::compiled(
     const std::string& name) const {
   auto it = index_.find(name);
   require<RuntimeFault>(it != index_.end(),
-                        "no function '" + name + "' in module");
+                        "no function '", name, "' in module");
   return functions_[static_cast<std::size_t>(it->second)];
 }
 

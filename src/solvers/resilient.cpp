@@ -257,8 +257,8 @@ ResilientResult resilient_solve(util::CheckpointStore& store, const Matrix& a,
     }
     require<CommError>(
         res.recoveries < options.max_recoveries,
-        util::cat("resilient_solve: recovery budget (", options.max_recoveries,
-                  ") exhausted"));
+        "resilient_solve: recovery budget (", options.max_recoveries,
+        ") exhausted");
     // ULFM sequence: revoke (poison in-flight ops so every survivor falls
     // out), agree + shrink (dense survivor communicator), then rebuild.
     cur.revoke();

@@ -56,7 +56,7 @@ std::string format_double(double v) {
 double parse_double(const std::string& s) {
   std::size_t pos = 0;
   const double v = std::stod(s, &pos);
-  require(pos == s.size(), "ParameterList XML: bad double '" + s + "'");
+  require(pos == s.size(), "ParameterList XML: bad double '", s, "'");
   return v;
 }
 
@@ -66,7 +66,7 @@ std::int64_t parse_int(const std::string& s) {
   const auto* end = s.data() + s.size();
   const auto res = std::from_chars(begin, end, v);
   require(res.ec == std::errc{} && res.ptr == end,
-          "ParameterList XML: bad int '" + s + "'");
+          "ParameterList XML: bad int '", s, "'");
   return v;
 }
 
@@ -159,7 +159,7 @@ class TagScanner {
 ParameterValue parse_value(const std::string& type, const std::string& value) {
   if (type == "bool") {
     require(value == "true" || value == "false",
-            "ParameterList XML: bad bool '" + value + "'");
+            "ParameterList XML: bad bool '", value, "'");
     return value == "true";
   }
   if (type == "int") return parse_int(value);
@@ -194,15 +194,15 @@ ParameterList& ParameterList::sublist(const std::string& key) {
   }
   auto* child = std::get_if<std::shared_ptr<ParameterList>>(&it->second);
   require(child != nullptr,
-          "ParameterList: '" + key + "' exists and is not a sublist");
+          "ParameterList: '", key, "' exists and is not a sublist");
   return **child;
 }
 
 const ParameterList& ParameterList::sublist(const std::string& key) const {
   auto it = params_.find(key);
-  require(it != params_.end(), "ParameterList: no sublist '" + key + "'");
+  require(it != params_.end(), "ParameterList: no sublist '", key, "'");
   const auto* child = std::get_if<std::shared_ptr<ParameterList>>(&it->second);
-  require(child != nullptr, "ParameterList: '" + key + "' is not a sublist");
+  require(child != nullptr, "ParameterList: '", key, "' is not a sublist");
   return **child;
 }
 

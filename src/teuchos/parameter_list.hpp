@@ -57,10 +57,10 @@ class ParameterList {
   template <class T>
   const T& get(const std::string& key) const {
     auto it = params_.find(key);
-    require(it != params_.end(), "ParameterList: no parameter '" + key + "'");
+    require(it != params_.end(), "ParameterList: no parameter '", key, "'");
     const T* v = std::get_if<T>(&it->second);
     require(v != nullptr,
-            "ParameterList: parameter '" + key + "' has a different type");
+            "ParameterList: parameter '", key, "' has a different type");
     return *v;
   }
 
@@ -71,7 +71,7 @@ class ParameterList {
     if (it == params_.end()) return fallback;
     const T* v = std::get_if<T>(&it->second);
     require(v != nullptr,
-            "ParameterList: parameter '" + key + "' has a different type");
+            "ParameterList: parameter '", key, "' has a different type");
     return *v;
   }
 

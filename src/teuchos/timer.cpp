@@ -8,13 +8,13 @@
 namespace pyhpc::teuchos {
 
 void Timer::start() {
-  require(!running_, "Timer '" + name_ + "' already running");
+  require(!running_, "Timer '", name_, "' already running");
   running_ = true;
   started_ = Clock::now();
 }
 
 void Timer::stop() {
-  require(running_, "Timer '" + name_ + "' not running");
+  require(running_, "Timer '", name_, "' not running");
   running_ = false;
   total_ += std::chrono::duration<double>(Clock::now() - started_).count();
   ++count_;

@@ -63,13 +63,13 @@ class CrsMatrix final : public Operator<Scalar, LO, GO> {
             "insert_global_values: cols/vals size mismatch");
     const LO lrow = row_map_.global_to_local(row);
     require<MapError>(lrow != kInvalidLocal<LO>,
-                      util::cat("insert_global_values: row ", row,
-                                " not owned by rank ", row_map_.rank()));
+                      "insert_global_values: row ", row,
+                      " not owned by rank ", row_map_.rank());
     auto& staged = staging_[static_cast<std::size_t>(lrow)];
     for (std::size_t k = 0; k < cols.size(); ++k) {
       require(cols[k] >= 0 && cols[k] < row_map_.num_global(),
-              util::cat("insert_global_values: column ", cols[k],
-                        " out of range"));
+              "insert_global_values: column ", cols[k],
+              " out of range");
       staged[cols[k]] += vals[k];
     }
   }

@@ -109,8 +109,8 @@ class Import {
     for (std::size_t i = 0; i < remote_gids.size(); ++i) {
       const auto [owner, slid] = owners[i];
       require<MapError>(owner >= 0,
-                        util::cat("Import: global index ", remote_gids[i],
-                                  " is owned by no rank of the source map"));
+                        "Import: global index ", remote_gids[i],
+                        " is owned by no rank of the source map");
       requests[static_cast<std::size_t>(owner)].push_back(
           Request{remote_gids[i], slid});
       recv_lids_[static_cast<std::size_t>(owner)].push_back(remote_tlids[i]);

@@ -44,27 +44,25 @@ class Map {
   /// Rank r receives floor(N/P) indices plus one extra when r < N mod P.
   static Map uniform(comm::Communicator& comm, GO num_global) {
     require(num_global >= 0, "Map::uniform: negative global count");
-    Map m(comm);
-    m.num_global_ = num_global;
-    m.contiguous_ = true;
-    m.offsets_ = uniform_offsets(num_global, comm.size());
-    return m;
+    auto index = std::make_shared<Index>();
+    index->offsets = uniform_offsets(num_global, comm.size());
+    return Map(comm, std::move(index), num_global);
   }
 
   /// Contiguous distribution with caller-specified local count (collective:
   /// performs a scan + allreduce to establish offsets).
   static Map from_local_sizes(comm::Communicator& comm, LO num_local) {
     require(num_local >= 0, "Map::from_local_sizes: negative local count");
-    Map m(comm);
-    m.contiguous_ = true;
     auto counts = comm.allgather_value(static_cast<GO>(num_local));
-    m.offsets_.assign(static_cast<std::size_t>(comm.size()) + 1, 0);
+    auto index = std::make_shared<Index>();
+    auto& off = index->offsets;
+    off.assign(static_cast<std::size_t>(comm.size()) + 1, 0);
     for (int r = 0; r < comm.size(); ++r) {
-      m.offsets_[static_cast<std::size_t>(r) + 1] =
-          m.offsets_[static_cast<std::size_t>(r)] + counts[static_cast<std::size_t>(r)];
+      off[static_cast<std::size_t>(r) + 1] =
+          off[static_cast<std::size_t>(r)] + counts[static_cast<std::size_t>(r)];
     }
-    m.num_global_ = m.offsets_.back();
-    return m;
+    const GO num_global = off.back();
+    return Map(comm, std::move(index), num_global);
   }
 
   /// Arbitrary distribution from this rank's global-index list. Indices may
@@ -73,23 +71,21 @@ class Map {
   /// Collective: establishes the global count.
   static Map from_global_indices(comm::Communicator& comm,
                                  std::span<const GO> my_gids) {
-    Map m(comm);
-    m.contiguous_ = false;
-    m.gids_.assign(my_gids.begin(), my_gids.end());
-    m.g2l_.reserve(m.gids_.size());
-    for (std::size_t i = 0; i < m.gids_.size(); ++i) {
-      require(m.gids_[i] >= 0, "Map: negative global index");
-      const bool inserted =
-          m.g2l_.emplace(m.gids_[i], static_cast<LO>(i)).second;
-      require(inserted, util::cat("Map: duplicate global index ", m.gids_[i],
-                                  " on rank ", comm.rank()));
-    }
+    auto index = std::make_shared<Index>();
+    index->gids.assign(my_gids.begin(), my_gids.end());
+    index->g2l.reserve(index->gids.size());
     GO local_max = -1;
-    for (GO g : m.gids_) local_max = std::max(local_max, g);
+    for (std::size_t i = 0; i < index->gids.size(); ++i) {
+      const GO g = index->gids[i];
+      require(g >= 0, "Map: negative global index");
+      const bool inserted = index->g2l.emplace(g, static_cast<LO>(i)).second;
+      require(inserted, "Map: duplicate global index ", g, " on rank ",
+              comm.rank());
+      local_max = std::max(local_max, g);
+    }
     const GO global_max = comm.allreduce_value(
         local_max, [](GO a, GO b) { return std::max(a, b); });
-    m.num_global_ = global_max + 1;
-    return m;
+    return Map(comm, std::move(index), global_max + 1);
   }
 
   /// The communicator handle is shared and internally sequenced; collective
@@ -99,13 +95,7 @@ class Map {
 
   GO num_global() const { return num_global_; }
 
-  LO num_local() const {
-    if (contiguous_) {
-      return static_cast<LO>(offsets_[static_cast<std::size_t>(rank()) + 1] -
-                             offsets_[static_cast<std::size_t>(rank())]);
-    }
-    return static_cast<LO>(gids_.size());
-  }
+  LO num_local() const { return num_local_; }
 
   int rank() const { return comm_->rank(); }
   int num_ranks() const { return comm_->size(); }
@@ -115,51 +105,43 @@ class Map {
   /// First global index owned locally (contiguous maps only).
   GO min_global_index() const {
     require<MapError>(contiguous_, "min_global_index: map not contiguous");
-    return offsets_[static_cast<std::size_t>(rank())];
+    return first_;
   }
 
   /// One past the last locally owned global index (contiguous maps only).
   GO max_global_index_plus_one() const {
     require<MapError>(contiguous_, "max_global_index_plus_one: map not contiguous");
-    return offsets_[static_cast<std::size_t>(rank()) + 1];
+    return first_ + num_local_;
   }
 
   bool is_local_global_index(GO gid) const {
-    if (contiguous_) {
-      return gid >= offsets_[static_cast<std::size_t>(rank())] &&
-             gid < offsets_[static_cast<std::size_t>(rank()) + 1];
-    }
-    return g2l_.count(gid) > 0;
+    if (contiguous_) return gid >= first_ && gid - first_ < num_local_;
+    return index_->g2l.count(gid) > 0;
   }
 
   /// Local id for a global index, or kInvalidLocal<LO> when not local.
   LO global_to_local(GO gid) const {
     if (contiguous_) {
-      const GO lo = offsets_[static_cast<std::size_t>(rank())];
-      const GO hi = offsets_[static_cast<std::size_t>(rank()) + 1];
-      if (gid < lo || gid >= hi) return kInvalidLocal<LO>;
-      return static_cast<LO>(gid - lo);
+      if (gid < first_ || gid - first_ >= num_local_) return kInvalidLocal<LO>;
+      return static_cast<LO>(gid - first_);
     }
-    auto it = g2l_.find(gid);
-    return it == g2l_.end() ? kInvalidLocal<LO> : it->second;
+    auto it = index_->g2l.find(gid);
+    return it == index_->g2l.end() ? kInvalidLocal<LO> : it->second;
   }
 
   GO local_to_global(LO lid) const {
     require<MapError>(lid >= 0 && lid < num_local(),
-                      util::cat("local_to_global: lid ", lid,
-                                " out of range [0, ", num_local(), ")"));
-    if (contiguous_) {
-      return offsets_[static_cast<std::size_t>(rank())] + lid;
-    }
-    return gids_[static_cast<std::size_t>(lid)];
+                      "local_to_global: lid ", lid,
+                      " out of range [0, ", num_local(), ")");
+    if (contiguous_) return first_ + lid;
+    return index_->gids[static_cast<std::size_t>(lid)];
   }
 
   /// This rank's global indices (materialized for contiguous maps).
   std::vector<GO> my_global_indices() const {
-    if (!contiguous_) return gids_;
-    std::vector<GO> out(static_cast<std::size_t>(num_local()));
-    std::iota(out.begin(), out.end(),
-              offsets_[static_cast<std::size_t>(rank())]);
+    if (!contiguous_) return index_->gids;
+    std::vector<GO> out(static_cast<std::size_t>(num_local_));
+    std::iota(out.begin(), out.end(), first_);
     return out;
   }
 
@@ -168,9 +150,10 @@ class Map {
   int owner_of(GO gid) const {
     require<MapError>(contiguous_, "owner_of: map not contiguous");
     require<MapError>(gid >= 0 && gid < num_global_,
-                      util::cat("owner_of: gid ", gid, " out of range"));
-    const auto it = std::upper_bound(offsets_.begin(), offsets_.end(), gid);
-    return static_cast<int>(it - offsets_.begin()) - 1;
+                      "owner_of: gid ", gid, " out of range");
+    const auto& off = index_->offsets;
+    const auto it = std::upper_bound(off.begin(), off.end(), gid);
+    return static_cast<int>(it - off.begin()) - 1;
   }
 
   /// Resolves owning rank and remote local id for each queried global
@@ -202,7 +185,7 @@ class Map {
   bool locally_same(const Map& other) const {
     if (num_global_ != other.num_global_) return false;
     if (contiguous_ && other.contiguous_) {
-      return offsets_ == other.offsets_;
+      return index_->offsets == other.index_->offsets;
     }
     if (num_local() != other.num_local()) return false;
     const LO n = num_local();
@@ -219,8 +202,33 @@ class Map {
   }
 
  private:
-  explicit Map(const comm::Communicator& comm)
-      : comm_(std::make_shared<comm::Communicator>(comm)) {}
+  // Index data every copy of a Map shares. A factory builds it once and
+  // nothing mutates it afterwards, so copying a Map — every Vector, Import
+  // and CrsMatrix holds one by value — costs reference-count increments,
+  // never a copy of the gid list or the hash table.
+  struct Index {
+    // Contiguous representation: per-rank offsets (P+1 entries, all
+    // ranks); empty exactly for arbitrary maps.
+    std::vector<GO> offsets;
+    // Arbitrary representation: local global-index list + reverse lookup.
+    std::vector<GO> gids;
+    std::unordered_map<GO, LO> g2l;
+  };
+
+  Map(const comm::Communicator& comm, std::shared_ptr<const Index> index,
+      GO num_global)
+      : comm_(std::make_shared<comm::Communicator>(comm)),
+        index_(std::move(index)),
+        num_global_(num_global),
+        contiguous_(!index_->offsets.empty()) {
+    if (contiguous_) {
+      const auto r = static_cast<std::size_t>(comm.rank());
+      first_ = index_->offsets[r];
+      num_local_ = static_cast<LO>(index_->offsets[r + 1] - first_);
+    } else {
+      num_local_ = static_cast<LO>(index_->gids.size());
+    }
+  }
 
   static std::vector<GO> uniform_offsets(GO n, int p) {
     std::vector<GO> off(static_cast<std::size_t>(p) + 1, 0);
@@ -237,13 +245,11 @@ class Map {
   // light handle but carries collective sequencing that must advance
   // identically on all ranks (SPMD discipline).
   std::shared_ptr<comm::Communicator> comm_;
+  std::shared_ptr<const Index> index_;
   GO num_global_ = 0;
   bool contiguous_ = true;
-  // Contiguous representation: per-rank offsets (P+1 entries, all ranks).
-  std::vector<GO> offsets_;
-  // Arbitrary representation: local global-index list + reverse lookup.
-  std::vector<GO> gids_;
-  std::unordered_map<GO, LO> g2l_;
+  GO first_ = 0;  // contiguous maps: first locally owned global index
+  LO num_local_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -262,8 +268,8 @@ std::vector<std::pair<int, LO>> Map<LO, GO>::remote_index_list(
       const GO g = gids[i];
       if (g < 0 || g >= num_global_) continue;
       const int owner = owner_of(g);
-      out[i] = {owner,
-                static_cast<LO>(g - offsets_[static_cast<std::size_t>(owner)])};
+      out[i] = {owner, static_cast<LO>(
+                           g - index_->offsets[static_cast<std::size_t>(owner)])};
     }
     return out;
   }
@@ -289,8 +295,9 @@ std::vector<std::pair<int, LO>> Map<LO, GO>::remote_index_list(
 
   // Round 1: register owned indices with the directory.
   std::vector<std::vector<DirEntry>> reg(static_cast<std::size_t>(p));
-  for (std::size_t i = 0; i < gids_.size(); ++i) {
-    const GO g = gids_[i];
+  const auto& my_gids = index_->gids;
+  for (std::size_t i = 0; i < my_gids.size(); ++i) {
+    const GO g = my_gids[i];
     reg[static_cast<std::size_t>(dir_rank_of(g))].push_back(
         DirEntry{g, static_cast<LO>(i), c.rank()});
   }

@@ -44,8 +44,8 @@ class Vector {
   void replace_global_value(GO gid, Scalar value) {
     const LO lid = map_.global_to_local(gid);
     require<MapError>(lid != kInvalidLocal<LO>,
-                      util::cat("replace_global_value: gid ", gid,
-                                " not owned by rank ", map_.rank()));
+                      "replace_global_value: gid ", gid,
+                      " not owned by rank ", map_.rank());
     data_[static_cast<std::size_t>(lid)] = value;
   }
 
@@ -202,8 +202,8 @@ class Vector {
  private:
   void check_same_layout(const Vector& other, const char* op) const {
     require<MapError>(other.data_.size() == data_.size(),
-                      util::cat("Vector::", op, ": local size mismatch (",
-                                data_.size(), " vs ", other.data_.size(), ")"));
+                      "Vector::", op, ": local size mismatch (",
+                      data_.size(), " vs ", other.data_.size(), ")");
   }
 
   map_type map_;

@@ -23,8 +23,8 @@ std::vector<double> CheckpointStore::restore(const std::string& key,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = blocks_.find({key, version});
   require<CheckpointError>(it != blocks_.end(),
-                           util::cat("checkpoint restore: no blocks for '",
-                                     key, "' version ", version));
+                           "checkpoint restore: no blocks for '",
+                           key, "' version ", version);
   std::vector<double> out(static_cast<std::size_t>(hi - lo), 0.0);
   // Coverage walk over the offset-sorted blocks: `covered` is the first
   // index of [lo, hi) not yet filled; any block starting past it while it
@@ -36,8 +36,8 @@ std::vector<double> CheckpointStore::restore(const std::string& key,
     if (off >= hi) break;
     require<CheckpointError>(
         off <= covered,
-        util::cat("checkpoint restore: '", key, "' version ", version,
-                  " has a hole at [", covered, ", ", off, ")"));
+        "checkpoint restore: '", key, "' version ", version,
+        " has a hole at [", covered, ", ", off, ")");
     const std::int64_t from = std::max(off, lo);
     const std::int64_t to = std::min(end, hi);
     std::copy(vals.begin() + (from - off), vals.begin() + (to - off),
@@ -46,9 +46,9 @@ std::vector<double> CheckpointStore::restore(const std::string& key,
   }
   require<CheckpointError>(
       covered >= hi,
-      util::cat("checkpoint restore: '", key, "' version ", version,
-                " covers only up to ", covered, " of requested [", lo, ", ",
-                hi, ")"));
+      "checkpoint restore: '", key, "' version ", version,
+      " covers only up to ", covered, " of requested [", lo, ", ",
+      hi, ")");
   return out;
 }
 
@@ -96,8 +96,8 @@ double CheckpointStore::restore_scalar(const std::string& key,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = scalars_.find({key, version});
   require<CheckpointError>(it != scalars_.end(),
-                           util::cat("checkpoint restore: no scalar '", key,
-                                     "' version ", version));
+                           "checkpoint restore: no scalar '", key,
+                           "' version ", version);
   return it->second;
 }
 
@@ -109,9 +109,9 @@ void CheckpointStore::save_blob(const std::string& key, int part, int nparts,
   Blob& blob = blobs_[key];
   if (blob.nparts < 0) blob.nparts = nparts;
   require(blob.nparts == nparts,
-          util::cat("CheckpointStore::save_blob: '", key,
-                    "' declared with conflicting part counts (", blob.nparts,
-                    " vs ", nparts, ")"));
+          "CheckpointStore::save_blob: '", key,
+          "' declared with conflicting part counts (", blob.nparts,
+          " vs ", nparts, ")");
   blob.parts.emplace(part, std::move(data));  // first write wins
 }
 
@@ -129,7 +129,7 @@ std::vector<double> CheckpointStore::restore_blob(
   require<CheckpointError>(
       it != blobs_.end() &&
           static_cast<int>(it->second.parts.size()) == it->second.nparts,
-      util::cat("checkpoint restore: blob '", key, "' absent or incomplete"));
+      "checkpoint restore: blob '", key, "' absent or incomplete");
   std::vector<double> out;
   for (const auto& [part, vals] : it->second.parts) {
     out.insert(out.end(), vals.begin(), vals.end());

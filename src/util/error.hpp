@@ -7,6 +7,9 @@
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+
+#include "util/string_util.hpp"
 
 namespace pyhpc {
 
@@ -132,10 +135,26 @@ class RuntimeFault : public Error {
   explicit RuntimeFault(const std::string& what) : Error(what) {}
 };
 
-/// Contract check: throws E with `msg` when `cond` is false.
-template <class E = InvalidArgument>
-inline void require(bool cond, const std::string& msg) {
-  if (!cond) throw E(msg);
+namespace detail {
+/// The failing half of require(), out of line and marked cold so a passing
+/// check compiles to one predictable branch. Array parts arrive decayed to
+/// pointers: one instantiation per part-type list, not per literal length.
+template <class E, class... Parts>
+[[noreturn, gnu::cold, gnu::noinline]] void throw_formatted(
+    const Parts&... parts) {
+  throw E(util::cat(parts...));
+}
+}  // namespace detail
+
+/// Contract check: throws E when `cond` is false, with the message
+/// util::cat(parts...). The parts are streamed only on failure, so pass the
+/// pieces of the message (`require(ok, "row ", r, " not owned")`), never a
+/// message built before the call — tools/check_source.sh enforces this.
+template <class E = InvalidArgument, class... Parts>
+inline void require(bool cond, const Parts&... parts) {
+  if (!cond) [[unlikely]] {
+    detail::throw_formatted<E, std::decay_t<const Parts>...>(parts...);
+  }
 }
 
 }  // namespace pyhpc

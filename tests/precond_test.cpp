@@ -10,6 +10,7 @@
 #include "galeri/gallery.hpp"
 #include "precond/amg.hpp"
 #include "precond/preconditioner.hpp"
+#include "solvers/krylov.hpp"
 
 namespace pc = pyhpc::comm;
 namespace gl = pyhpc::galeri;
@@ -186,6 +187,20 @@ TEST_P(AmgSweep, HierarchyCoarsensMonotonically) {
     EXPECT_GE(amg.operator_complexity(), 1.0);
     EXPECT_LT(amg.operator_complexity(), 3.0);
   });
+
+  // The hierarchy of laplace2d(24, 24), pinned per rank count: level sizes
+  // and operator complexity (a ratio of integer nnz counts, so exact).
+  const int p = GetParam();
+  pc::run(p, [p](pc::Communicator& comm) {
+    const std::vector<std::int64_t> kSizes[] = {
+        {576, 102, 12}, {576, 102, 12}, {576, 102, 15}, {576, 104, 12}};
+    const double kComplexity[] = {1.3397988505747127, 1.3498563218390804,
+                                  1.3732040229885059, 1.3872126436781609};
+    auto a = gl::laplace2d(comm, 24, 24);
+    pp::AmgPreconditioner amg(a);
+    EXPECT_EQ(amg.level_sizes(), kSizes[p - 1]);
+    EXPECT_EQ(amg.operator_complexity(), kComplexity[p - 1]);
+  });
 }
 
 TEST_P(AmgSweep, VcycleContractsLaplacianResidual) {
@@ -208,6 +223,44 @@ TEST_P(AmgSweep, CoarseOnlyProblemSolvedExactly) {
     pp::AmgPreconditioner amg(a, opt);
     EXPECT_EQ(amg.num_levels(), 1);
     EXPECT_NEAR(one_step_reduction(a, amg, 13), 0.0, 1e-10);
+  });
+}
+
+TEST_P(AmgSweep, StalledCoarseningSmoothsInsteadOfFactoring) {
+  pc::run(GetParam(), [](pc::Communicator& comm) {
+    // A diagonal matrix has no couplings to aggregate, so coarsening stalls
+    // on the first level. That level must be smoothed (pre + post Jacobi
+    // sweeps from z = 0), not factored densely: a dense LU of n = 4000
+    // would take O(n^2) memory and O(n^3) time.
+    auto map = gl::Map::uniform(comm, 4000);
+    gl::Matrix d(map);
+    for (LO i = 0; i < map.num_local(); ++i) {
+      const GO g = map.local_to_global(i);
+      d.insert_global_value(g, g, static_cast<double>(2 + g % 7));
+    }
+    d.fill_complete();
+    pp::AmgPreconditioner amg(d);
+    EXPECT_EQ(amg.level_sizes(), std::vector<std::int64_t>{4000});
+
+    // Two sweeps on D z = r from 0: z = omega (2 - omega) D^{-1} r.
+    gl::Vector r(map);
+    r.randomize(29);
+    gl::Vector z(map);
+    amg.apply(r, z);
+    const double omega = pp::AmgOptions{}.jacobi_omega;
+    for (LO i = 0; i < map.num_local(); ++i) {
+      const double dii = static_cast<double>(2 + map.local_to_global(i) % 7);
+      const double want = omega * (2.0 - omega) * r[i] / dii;
+      EXPECT_NEAR(z[i], want, 1e-14 * std::abs(want));
+    }
+
+    // A scaled D^{-1} is an exact preconditioner up to a constant: PCG
+    // converges in one iteration.
+    auto b = gl::rhs_for_ones(d);
+    gl::Vector x(map, 0.0);
+    auto res = pyhpc::solvers::cg_solve(d, b, x, {}, &amg);
+    EXPECT_TRUE(res.converged);
+    EXPECT_EQ(res.iterations, 1);
   });
 }
 

@@ -63,6 +63,22 @@ TEST_P(KrylovSweep, PreconditionedCgConvergesFaster) {
     EXPECT_TRUE(pcg.converged);
     EXPECT_LT(pcg.iterations, plain.iterations);
   });
+
+  // PCG-AMG on laplace2d(24, 24) to 1e-10: the iteration count per rank
+  // count is pinned, so a change to the AMG hierarchy or cycle shows.
+  const int p = GetParam();
+  pc::run(p, [p](pc::Communicator& comm) {
+    const int kIterations[] = {13, 13, 13, 14};
+    auto a = gl::laplace2d(comm, 24, 24);
+    auto b = gl::rhs_for_ones(a);
+    gl::Vector x(a.domain_map(), 0.0);
+    pp::AmgPreconditioner amg(a);
+    sv::KrylovOptions options;
+    options.tolerance = 1e-10;
+    auto res = sv::cg_solve(a, b, x, options, &amg);
+    EXPECT_TRUE(res.converged) << res.summary();
+    EXPECT_EQ(res.iterations, kIterations[p - 1]);
+  });
 }
 
 TEST_P(KrylovSweep, BicgstabSolvesNonsymmetric) {

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <set>
 #include <thread>
 #include <vector>
@@ -113,11 +115,41 @@ TEST(StringUtil, CatFormatsMixedTypes) {
   EXPECT_EQ(pu::cat("rank ", 3, " of ", 8), "rank 3 of 8");
 }
 
+namespace {
+// A message part that counts how often it is streamed.
+struct StreamProbe {
+  int* streamed;
+};
+std::ostream& operator<<(std::ostream& os, const StreamProbe& p) {
+  ++*p.streamed;
+  return os << "<probe>";
+}
+}  // namespace
+
 TEST(Error, RequireThrowsRequestedType) {
   EXPECT_NO_THROW(pyhpc::require(true, "fine"));
   EXPECT_THROW(pyhpc::require(false, "nope"), pyhpc::InvalidArgument);
   EXPECT_THROW(pyhpc::require<pyhpc::ShapeError>(false, "bad shape"),
                pyhpc::ShapeError);
+
+  // A passing check never streams its parts.
+  int streamed = 0;
+  const StreamProbe probe{&streamed};
+  const std::string name = "row";
+  pyhpc::require<pyhpc::MapError>(true, "lid ", 7, " of ", name, probe);
+  EXPECT_EQ(streamed, 0);
+
+  // A failing one throws the requested type with util::cat of the parts.
+  try {
+    pyhpc::require<pyhpc::MapError>(false, "lid ", 7, " of ", name, probe);
+    ADD_FAILURE() << "require(false, ...) did not throw";
+  } catch (const pyhpc::MapError& e) {
+    int expected_streamed = 0;
+    EXPECT_EQ(std::string(e.what()),
+              pu::cat("lid ", 7, " of ", name,
+                      StreamProbe{&expected_streamed}));
+    EXPECT_EQ(streamed, 1);
+  }
 }
 
 TEST(Error, HierarchyCatchableAsBase) {
