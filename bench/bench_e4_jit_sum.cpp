@@ -7,10 +7,10 @@
 //           res += it[i]
 //       return res
 //
-// Ladder: tree-walking interpreter (CPython stand-in) -> bytecode VM ->
-// typed-register JIT -> handwritten native C++. The paper claims "Seamless
-// allows compilation to fast machine code"; the expected shape is large
-// interpreter/JIT gaps with the JIT approaching native.
+// Ladder: tree-walking interpreter (CPython stand-in) -> typed-register
+// JIT -> static compilation -> handwritten native C++. The paper claims
+// "Seamless allows compilation to fast machine code"; the expected shape is
+// large interpreter/JIT gaps with the JIT approaching native.
 #include <benchmark/benchmark.h>
 #include <dlfcn.h>
 
@@ -51,19 +51,6 @@ void BM_SumInterpreter(benchmark::State& state) {
   state.counters["result"] = result;
 }
 BENCHMARK(BM_SumInterpreter)->Arg(1000)->Arg(100000);
-
-void BM_SumBytecodeVm(benchmark::State& state) {
-  sm::Engine engine(kSumSource);
-  auto arr = make_input(state.range(0));
-  double result = 0.0;
-  for (auto _ : state) {
-    result = engine.run_vm("sum", {Value::of(arr)}).as_float();
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.counters["result"] = result;
-}
-BENCHMARK(BM_SumBytecodeVm)->Arg(1000)->Arg(100000);
 
 void BM_SumJit(benchmark::State& state) {
   sm::Engine engine(kSumSource);

@@ -52,20 +52,6 @@ void BM_InterpretedCallThroughFfi(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpretedCallThroughFfi);
 
-void BM_VmCallThroughFfi(benchmark::State& state) {
-  sm::Engine engine(
-      "def angle(y, x):\n"
-      "    return atan2(y, x)\n");
-  engine.bind(sm::CModule::math());
-  double x = 0.0;
-  for (auto _ : state) {
-    x += engine.run_vm("angle", {Value::of(1.0), Value::of(2.0 + x * 1e-18)})
-             .as_float();
-    benchmark::DoNotOptimize(x);
-  }
-}
-BENCHMARK(BM_VmCallThroughFfi);
-
 // Binding cost: dlopen + 21 dlsym bindings (paid once per module).
 void BM_CModuleMathConstruction(benchmark::State& state) {
   for (auto _ : state) {

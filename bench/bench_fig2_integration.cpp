@@ -9,8 +9,8 @@
 //
 // Pipeline: ODIN array setup -> to_tpetra -> CG+AMG solve of a 1D
 // reaction-diffusion system whose RHS model is evaluated by a MiniPy
-// callback at each Newton step — with the callback running on the
-// interpreter / VM / JIT tier. Shape: end-to-end time tracks the callback
+// callback at each Newton step — with the callback running interpreted,
+// JIT-compiled or as native C++. Shape: end-to-end time tracks the callback
 // tier; the solve portion is identical.
 #include <benchmark/benchmark.h>
 
@@ -42,12 +42,11 @@ const char* kModelSource =
     "        out[i] = u[i] - 0.1 * u[i] * u[i] * u[i]\n"
     "    return 0\n";
 
-enum Tier { kInterp = 0, kVm = 1, kJit = 2, kNative = 3 };
+enum Tier { kInterp = 0, kJit = 1, kNative = 2 };
 
 const char* tier_name(int tier) {
   switch (tier) {
     case kInterp: return "interpreted";
-    case kVm: return "vm";
     case kJit: return "jit";
     default: return "native";
   }
@@ -65,10 +64,10 @@ void eval_model(sm::Engine& engine, int tier, std::span<double> u,
   auto vu = sm::Value::of(sm::ArrayValue::view(u.data(), u.size()));
   auto vo = sm::Value::of(sm::ArrayValue::view(out.data(), out.size()));
   std::vector<sm::Value> args{vu, vo};
-  switch (tier) {
-    case kInterp: engine.run_interpreted("model", args); break;
-    case kVm: engine.run_vm("model", args); break;
-    default: engine.run_jit("model", args); break;
+  if (tier == kInterp) {
+    engine.run_interpreted("model", args);
+  } else {
+    engine.run_jit("model", args);
   }
 }
 
@@ -113,7 +112,6 @@ void BM_FullPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_FullPipeline)
     ->Args({kInterp, 4096, 2})
-    ->Args({kVm, 4096, 2})
     ->Args({kJit, 4096, 2})
     ->Args({kNative, 4096, 2})
     ->Iterations(1);
@@ -133,7 +131,6 @@ void BM_ModelCallbackOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelCallbackOnly)
     ->Args({kInterp, 4096})
-    ->Args({kVm, 4096})
     ->Args({kJit, 4096})
     ->Args({kNative, 4096});
 

@@ -1,8 +1,8 @@
 // F9 — the end-to-end scenario suite as a tracked bench (ROADMAP item 4).
 // Each benchmark drives the SAME library function the `scenario` tests
 // gate on, at p = 4 and p = 8, and re-exports the scenario's folded
-// `scenario.<name>.*` obs gauges as benchmark counters so the BENCH_PR9
-// pipeline records per-scenario wall time next to per-layer numbers. A
+// `scenario.<name>.*` obs gauges as benchmark counters so the JSON output
+// records per-scenario wall time next to per-layer numbers. A
 // perf regression in any layer the composition crosses (transport,
 // collectives, SpMV overlap, solver, shuffle, redistribution plan) moves
 // these before it moves a microbench.

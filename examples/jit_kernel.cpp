@@ -51,8 +51,6 @@ double time_tier(sm::Engine& engine, const char* tier, std::vector<double>& u,
   const auto t0 = std::chrono::steady_clock::now();
   if (std::string(tier) == "interpreted") {
     engine.run_interpreted("zscore", args);
-  } else if (std::string(tier) == "vm") {
-    engine.run_vm("zscore", args);
   } else {
     engine.run_jit("zscore", args);
   }
@@ -74,7 +72,7 @@ int main(int argc, char** argv) {
       u[i] = static_cast<double>(i % 97);
     }
     std::printf("kernel on %zu elements:\n", u.size());
-    for (const char* tier : {"interpreted", "vm", "jit", "jit"}) {
+    for (const char* tier : {"interpreted", "jit", "jit"}) {
       std::printf("  %-12s %8.3f ms\n", tier,
                   1e3 * time_tier(engine, tier, u, out));
     }

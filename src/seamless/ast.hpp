@@ -1,6 +1,6 @@
-// Abstract syntax tree for MiniPy. Nodes carry a kind tag so the three
-// back-ends (tree-walking interpreter, bytecode compiler, typed JIT) can
-// switch-dispatch without RTTI.
+// Abstract syntax tree for MiniPy. Nodes carry a kind tag so the two
+// back-ends (tree-walking interpreter, typed JIT) can switch-dispatch
+// without RTTI.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +63,7 @@ struct Expr {
   ExprPtr lhs;                 // kUnary operand / kBinary / kBoolOp / kIndex target
   ExprPtr rhs;                 // kBinary / kBoolOp / kIndex index
   std::vector<ExprPtr> args;   // kCall arguments
+  int height = 1;              // nodes on the longest path down, this included
 
   explicit Expr(ExprKind k, int ln) : kind(k), line(ln) {}
 };
@@ -131,11 +132,22 @@ struct Module {
   const FunctionDef& function(const std::string& name) const;
 };
 
+/// The deepest a leaf may sit in parsed source. Each enclosing indented
+/// block, bracket and unary operator is a level, and so is each operator
+/// node above the leaf: a left-associative chain of n operators puts its
+/// leftmost operand n levels down. The limit bounds the parser's own
+/// recursion and every recursive walk of the tree after it (interpreter,
+/// JIT, destructor), so deep source is a CompileError, not a stack
+/// overflow.
+inline constexpr int kMaxNesting = 500;
+
 /// Parses MiniPy source into a module of function definitions. Throws
-/// CompileError with line information on syntax errors.
+/// CompileError with line information on syntax errors and on nesting
+/// deeper than kMaxNesting.
 Module parse(const std::string& source);
 
-/// Parses a single expression (used by tests and the embed API).
+/// Parses a single expression (used by tests and the embed API), with the
+/// same errors and nesting limit as parse().
 ExprPtr parse_expression(const std::string& source);
 
 }  // namespace pyhpc::seamless

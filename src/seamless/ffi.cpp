@@ -88,15 +88,6 @@ void CModule::install_into(Interpreter& interp) const {
   }
 }
 
-void CModule::install_into(VirtualMachine& vm) const {
-  for (const auto& [fn_name, binding] : bindings_) {
-    auto fn = binding.fn;
-    vm.register_builtin(fn_name, [fn](std::span<const Value> args) {
-      return fn(args);
-    });
-  }
-}
-
 CModule CModule::math() {
   CModule m = load_library("m");
   // The functions math.h declares, bound through the live libm symbols —

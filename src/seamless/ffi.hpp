@@ -16,7 +16,7 @@
 //    signature stated once at binding time.
 // Either way the bound function is callable dynamically by name with boxed
 // values, and install_into() injects the whole module into an interpreter
-// or VM namespace.
+// namespace.
 #pragma once
 
 #include <functional>
@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "seamless/bytecode.hpp"
 #include "seamless/interpreter.hpp"
 #include "seamless/value.hpp"
 
@@ -108,7 +107,6 @@ class CModule {
   /// Injects every bound function into an interpreter namespace
   /// ("all of the math library is available to use").
   void install_into(Interpreter& interp) const;
-  void install_into(VirtualMachine& vm) const;
 
   /// The paper's running example: the C math library with its common
   /// functions pre-bound through dlopen/dlsym.

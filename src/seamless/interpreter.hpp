@@ -49,7 +49,4 @@ class Interpreter {
   std::map<std::string, BuiltinFn> builtins_;
 };
 
-/// Installs the default builtin set into a raw map (shared with the VM).
-void install_default_builtins(std::map<std::string, BuiltinFn>& builtins);
-
 }  // namespace pyhpc::seamless

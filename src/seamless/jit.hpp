@@ -10,7 +10,7 @@
 // 2. A fixpoint pass propagates types through assignments, operators, and
 //    the typed intrinsic builtins; any dynamic feature (lists, strings,
 //    polymorphic variables, unknown calls) raises NotJittable and callers
-//    fall back to the VM/interpreter.
+//    fall back to the interpreter.
 // 3. Code generation emits register-register typed instructions (separate
 //    int64/double banks, unboxed array loads/stores) run by a flat
 //    dispatch loop.

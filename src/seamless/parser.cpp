@@ -1,4 +1,5 @@
 // Recursive-descent parser for MiniPy with precedence-climbing expressions.
+#include <algorithm>
 #include <map>
 
 #include "obs/trace.hpp"
@@ -52,7 +53,7 @@ class Parser {
   }
   bool at(TokenKind k) const { return peek().kind == k; }
 
-  Token advance() { return tokens_[pos_++]; }
+  const Token& advance() { return tokens_[pos_++]; }
 
   bool accept(TokenKind k) {
     if (at(k)) {
@@ -62,24 +63,55 @@ class Parser {
     return false;
   }
 
-  Token expect(TokenKind k, const std::string& what) {
-    if (!at(k)) {
-      fail(util::cat("expected ", what, ", found '", peek().describe(), "'"));
-    }
+  const Token& expect(TokenKind k, const char* what) {
+    if (!at(k)) fail("expected ", what, ", found '", peek().describe(), "'");
     return advance();
   }
 
-  void require_kind(TokenKind k, const std::string& msg) {
-    if (!at(k)) fail(msg + " (found '" + peek().describe() + "')");
+  void require_kind(TokenKind k, const char* msg) {
+    if (!at(k)) fail(msg, " (found '", peek().describe(), "')");
   }
 
-  [[noreturn]] void fail(const std::string& msg) const {
-    throw CompileError(util::cat("line ", peek().line, ": ", msg));
+  // Out of line, so the recursive descent keeps small frames: no message
+  // is built until a parse fails.
+  template <class... Parts>
+  [[noreturn, gnu::cold, gnu::noinline]] void fail(
+      const Parts&... parts) const {
+    throw CompileError(util::cat("line ", peek().line, ": ", parts...));
   }
 
   void skip_newlines() {
     while (accept(TokenKind::kNewline)) {
     }
+  }
+
+  // ---- nesting limit (kMaxNesting) ------------------------------------------
+
+  // Runs one parse step a level deeper: a bracket's contents, a unary
+  // operand, a block's statement. A failed parse abandons the parser, so
+  // depth_ is not unwound on a throw.
+  template <class T>
+  T nested(T (Parser::*step)()) {
+    if (depth_ == kMaxNesting) {
+      fail("nesting deeper than ", kMaxNesting, " levels");
+    }
+    ++depth_;
+    T out = (this->*step)();
+    --depth_;
+    return out;
+  }
+
+  // Gives a new operator node its height and checks its deepest leaf.
+  ExprPtr sized(ExprPtr e) const {
+    int below = 0;
+    if (e->lhs) below = e->lhs->height;
+    if (e->rhs) below = std::max(below, e->rhs->height);
+    for (const auto& arg : e->args) below = std::max(below, arg->height);
+    e->height = below + 1;
+    if (depth_ + e->height > kMaxNesting) {
+      fail("nesting deeper than ", kMaxNesting, " levels");
+    }
+    return e;
   }
 
   // ---- declarations ---------------------------------------------------------
@@ -107,7 +139,7 @@ class Parser {
     expect(TokenKind::kIndent, "indented block");
     Block block;
     while (!at(TokenKind::kDedent) && !at(TokenKind::kEndOfFile)) {
-      block.push_back(parse_statement());
+      block.push_back(nested(&Parser::parse_statement));
       skip_newlines();
     }
     expect(TokenKind::kDedent, "dedent");
@@ -187,7 +219,7 @@ class Parser {
     auto s = std::make_unique<Stmt>(StmtKind::kForRange, line);
     s->name = expect(TokenKind::kName, "loop variable").text;
     expect(TokenKind::kIn, "'in'");
-    const Token range_name = expect(TokenKind::kName, "range(...)");
+    const Token& range_name = expect(TokenKind::kName, "range(...)");
     if (range_name.text != "range") {
       fail("only 'for <var> in range(...)' loops are supported");
     }
@@ -279,7 +311,7 @@ class Parser {
       e->is_and = false;
       e->lhs = std::move(lhs);
       e->rhs = parse_and();
-      lhs = std::move(e);
+      lhs = sized(std::move(e));
     }
     return lhs;
   }
@@ -292,7 +324,7 @@ class Parser {
       e->is_and = true;
       e->lhs = std::move(lhs);
       e->rhs = parse_not();
-      lhs = std::move(e);
+      lhs = sized(std::move(e));
     }
     return lhs;
   }
@@ -302,8 +334,8 @@ class Parser {
       const int line = advance().line;
       auto e = std::make_unique<Expr>(ExprKind::kUnary, line);
       e->unary_op = UnaryOp::kNot;
-      e->lhs = parse_not();
-      return e;
+      e->lhs = nested(&Parser::parse_not);
+      return sized(std::move(e));
     }
     return parse_comparison();
   }
@@ -326,7 +358,7 @@ class Parser {
       e->bin_op = op;
       e->lhs = std::move(lhs);
       e->rhs = parse_additive();
-      lhs = std::move(e);
+      lhs = sized(std::move(e));
     }
   }
 
@@ -342,7 +374,7 @@ class Parser {
       e->bin_op = op;
       e->lhs = std::move(lhs);
       e->rhs = parse_multiplicative();
-      lhs = std::move(e);
+      lhs = sized(std::move(e));
     }
   }
 
@@ -360,7 +392,7 @@ class Parser {
       e->bin_op = op;
       e->lhs = std::move(lhs);
       e->rhs = parse_unary();
-      lhs = std::move(e);
+      lhs = sized(std::move(e));
     }
   }
 
@@ -369,8 +401,8 @@ class Parser {
       const int line = advance().line;
       auto e = std::make_unique<Expr>(ExprKind::kUnary, line);
       e->unary_op = UnaryOp::kNeg;
-      e->lhs = parse_unary();
-      return e;
+      e->lhs = nested(&Parser::parse_unary);
+      return sized(std::move(e));
     }
     return parse_power();
   }
@@ -382,8 +414,9 @@ class Parser {
       auto e = std::make_unique<Expr>(ExprKind::kBinary, line);
       e->bin_op = BinOp::kPow;
       e->lhs = std::move(base);
-      e->rhs = parse_unary();  // right-associative, binds tighter than unary-
-      return e;
+      // Right-associative, binds tighter than unary -.
+      e->rhs = nested(&Parser::parse_unary);
+      return sized(std::move(e));
     }
     return base;
   }
@@ -395,9 +428,9 @@ class Parser {
         const int line = advance().line;
         auto idx = std::make_unique<Expr>(ExprKind::kIndex, line);
         idx->lhs = std::move(e);
-        idx->rhs = parse_expr();
+        idx->rhs = nested(&Parser::parse_expr);
         expect(TokenKind::kRBracket, "']'");
-        e = std::move(idx);
+        e = sized(std::move(idx));
       } else {
         return e;
       }
@@ -405,7 +438,7 @@ class Parser {
   }
 
   ExprPtr parse_primary() {
-    const Token t = peek();
+    const Token& t = peek();
     switch (t.kind) {
       case TokenKind::kInt: {
         advance();
@@ -444,12 +477,12 @@ class Parser {
           e->str_value = t.text;
           if (!at(TokenKind::kRParen)) {
             for (;;) {
-              e->args.push_back(parse_expr());
+              e->args.push_back(nested(&Parser::parse_expr));
               if (!accept(TokenKind::kComma)) break;
             }
           }
           expect(TokenKind::kRParen, "')' after call arguments");
-          return e;
+          return sized(std::move(e));
         }
         auto e = std::make_unique<Expr>(ExprKind::kName, t.line);
         e->str_value = t.text;
@@ -457,17 +490,18 @@ class Parser {
       }
       case TokenKind::kLParen: {
         advance();
-        ExprPtr e = parse_expr();
+        ExprPtr e = nested(&Parser::parse_expr);
         expect(TokenKind::kRParen, "')'");
         return e;
       }
       default:
-        fail(util::cat("unexpected token '", t.describe(), "' in expression"));
+        fail("unexpected token '", t.describe(), "' in expression");
     }
   }
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // levels open at the current token (see kMaxNesting)
 };
 
 }  // namespace

@@ -8,20 +8,16 @@
 namespace pyhpc::seamless {
 
 Engine::Engine(const std::string& source)
-    : module_(parse(source)), interp_(module_), vm_(module_) {}
+    : module_(parse(source)), interp_(module_) {}
 
-void Engine::bind(const CModule& module) {
-  module.install_into(interp_);
-  module.install_into(vm_);
-}
+void Engine::bind(const CModule& module) { module.install_into(interp_); }
 
 Value Engine::run(const std::string& name, std::vector<Value> args) {
-  const FunctionDef& fn = module_.function(name);
-  if (fn.has_decorator("jit")) {
+  if (module_.function(name).has_decorator("jit")) {
     try {
       return run_jit(name, args);
     } catch (const NotJittable&) {
-      return run_vm(name, std::move(args));
+      // Outside the typed subset: the interpreter runs it.
     }
   }
   return run_interpreted(name, std::move(args));

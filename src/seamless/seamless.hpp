@@ -2,7 +2,6 @@
 //
 // The tiers (DESIGN.md §2):
 //   interpreted — boxed tree walking (the CPython stand-in);
-//   vm          — boxed stack bytecode (CPython's architecture, leaner);
 //   jit         — typed register code, unboxed (the LLVM stand-in).
 //
 // `run_jit` performs the @jit decorator's job: on first call it discovers
@@ -21,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "seamless/bytecode.hpp"
 #include "seamless/ffi.hpp"
 #include "seamless/interpreter.hpp"
 #include "seamless/jit.hpp"
@@ -35,17 +33,12 @@ class Engine {
 
   const Module& module() const { return module_; }
   Interpreter& interpreter() { return interp_; }
-  VirtualMachine& vm() { return vm_; }
 
-  /// Makes a CModule's functions callable from MiniPy in both boxed tiers.
+  /// Makes a CModule's functions callable from interpreted MiniPy.
   void bind(const CModule& module);
 
   Value run_interpreted(const std::string& name, std::vector<Value> args) const {
     return interp_.call(name, std::move(args));
-  }
-
-  Value run_vm(const std::string& name, std::vector<Value> args) const {
-    return vm_.call(name, std::move(args));
   }
 
   /// @jit behaviour: type-discover from the arguments, compile once per
@@ -53,10 +46,10 @@ class Engine {
   Value run_jit(const std::string& name, std::vector<Value> args);
 
   /// Decorator-driven dispatch, the paper's surface semantics: a function
-  /// written with @jit runs through the JIT (falling back to the VM when
-  /// the call leaves the typed subset — the "staged and incremental
-  /// approach" of §IV.A); undecorated functions run interpreted, as in
-  /// CPython.
+  /// written with @jit runs through the JIT (falling back to the
+  /// interpreter when the call leaves the typed subset — the "staged and
+  /// incremental approach" of §IV.A); undecorated functions run
+  /// interpreted, as in CPython.
   Value run(const std::string& name, std::vector<Value> args);
 
   /// Explicit-hint compilation (jit.compile(types=...)); cached.
@@ -69,7 +62,6 @@ class Engine {
  private:
   Module module_;
   Interpreter interp_;
-  VirtualMachine vm_;
   std::map<std::string, std::unique_ptr<JitFunction>> jit_cache_;
 };
 

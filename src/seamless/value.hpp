@@ -1,5 +1,5 @@
-// Boxed runtime values for the MiniPy interpreter and bytecode VM — the
-// stand-in for CPython's PyObject. Every value is a tagged variant; numeric
+// Boxed runtime values for the MiniPy interpreter — the stand-in for
+// CPython's PyObject. Every value is a tagged variant; numeric
 // operations go through dynamic dispatch with int->float promotion, which
 // is exactly the overhead the Seamless JIT tier removes.
 #pragma once

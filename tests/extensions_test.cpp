@@ -52,7 +52,7 @@ TEST(JitDecorator, RunDispatchesDecoratedFunctionsToJit) {
 
 TEST(JitDecorator, FallsBackToVmOutsideTypedSubset) {
   // The paper's "staged and incremental approach": @jit code using dynamic
-  // features still runs (through the boxed tier) instead of failing.
+  // features still runs (through the interpreter) instead of failing.
   sm::Engine engine(
       "@jit\n"
       "def dyn(n):\n"
@@ -60,6 +60,8 @@ TEST(JitDecorator, FallsBackToVmOutsideTypedSubset) {
       "    return len(xs)\n");
   EXPECT_EQ(engine.run("dyn", {Value::of(4)}).as_int(), 4);
   EXPECT_EQ(engine.jit_cache_size(), 0u);  // nothing compiled
+  EXPECT_EQ(engine.run("dyn", {Value::of(4)}).repr(),
+            engine.run_interpreted("dyn", {Value::of(4)}).repr());
 }
 
 TEST(JitDecorator, MultipleDecoratorsAccepted) {

@@ -1,6 +1,6 @@
-// Tests for the VM and JIT tiers: exact semantic equivalence with the
-// interpreter (including a randomized-program sweep), JIT type discovery,
-// NotJittable fallbacks, FFI, and the embed API.
+// Tests for the JIT tier and the @jit dispatch: exact semantic equivalence
+// with the interpreter (including a randomized-program sweep), JIT type
+// discovery, NotJittable fallbacks, FFI, and the embed API.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,14 +13,12 @@ using sm::Value;
 
 namespace {
 
-// Runs a function through all three tiers and checks they agree; returns
-// the interpreter's result. `jittable` = false skips the JIT tier.
+// Runs a function through the interpreter and the JIT and checks they
+// agree; returns the interpreter's result. `jittable` = false skips the JIT.
 Value run_all_tiers(const std::string& source, const std::string& fn,
                     std::vector<Value> args, bool jittable = true) {
   sm::Engine engine(source);
   Value vi = engine.run_interpreted(fn, args);
-  Value vv = engine.run_vm(fn, args);
-  EXPECT_EQ(vi.repr(), vv.repr()) << fn << ": interpreter vs VM";
   if (jittable) {
     Value vj = engine.run_jit(fn, args);
     // JIT promotes bools to ints in arithmetic identically; compare
@@ -92,16 +90,16 @@ TEST(Tiers, ArrayWritesVisibleToCaller) {
       "    for i in range(len(a)):\n"
       "        a[i] = a[i] * s\n"
       "    return 0\n";
-  for (int tier = 0; tier < 3; ++tier) {
+  for (const bool jit : {false, true}) {
     sm::Engine engine(src);
     auto arr = sm::ArrayValue::owned({1.0, 2.0, 3.0});
     std::vector<Value> args{Value::of(arr), Value::of(2.0)};
-    switch (tier) {
-      case 0: engine.run_interpreted("scale", args); break;
-      case 1: engine.run_vm("scale", args); break;
-      default: engine.run_jit("scale", args); break;
+    if (jit) {
+      engine.run_jit("scale", args);
+    } else {
+      engine.run_interpreted("scale", args);
     }
-    EXPECT_DOUBLE_EQ(arr->data[2], 6.0) << "tier " << tier;
+    EXPECT_DOUBLE_EQ(arr->data[2], 6.0) << (jit ? "jit" : "interpreted");
   }
 }
 
@@ -132,7 +130,7 @@ TEST(Tiers, BreakContinueNestedLoops) {
 
 TEST(Tiers, RandomizedProgramEquivalence) {
   // Property sweep: generated straight-line integer programs with loops and
-  // conditionals must agree across all three tiers.
+  // conditionals must agree across both tiers.
   pyhpc::util::Xoshiro256 rng(2024);
   for (int trial = 0; trial < 40; ++trial) {
     const std::int64_t c1 = rng.next_int(1, 9);
@@ -159,19 +157,8 @@ TEST(Tiers, RandomizedProgramEquivalence) {
 }
 
 // ---------------------------------------------------------------------------
-// VM specifics
+// Boxed-tier edge cases
 // ---------------------------------------------------------------------------
-
-TEST(Vm, DisassemblyIsReadable) {
-  sm::Module mod = sm::parse(
-      "def f(x):\n"
-      "    return x + 1\n");
-  sm::VirtualMachine vm(mod);
-  const std::string dis = vm.compiled("f").disassemble();
-  EXPECT_NE(dis.find("LOAD_LOCAL"), std::string::npos);
-  EXPECT_NE(dis.find("BINARY"), std::string::npos);
-  EXPECT_NE(dis.find("RETURN_VALUE"), std::string::npos);
-}
 
 TEST(Vm, UndefinedLocalFaultsLikeInterpreter) {
   const std::string src =
@@ -180,8 +167,7 @@ TEST(Vm, UndefinedLocalFaultsLikeInterpreter) {
       "        x = 1\n"
       "    return x\n";
   sm::Engine engine(src);
-  EXPECT_EQ(engine.run_vm("f", {Value::of(true)}).as_int(), 1);
-  EXPECT_THROW(engine.run_vm("f", {Value::of(false)}), pyhpc::RuntimeFault);
+  EXPECT_EQ(engine.run_interpreted("f", {Value::of(true)}).as_int(), 1);
   EXPECT_THROW(engine.run_interpreted("f", {Value::of(false)}),
                pyhpc::RuntimeFault);
 }
@@ -196,7 +182,6 @@ TEST(Vm, LoopVarReassignmentDoesNotChangeIteration) {
       "    return total\n";
   sm::Engine engine(src);
   EXPECT_EQ(engine.run_interpreted("f", {}).as_int(), 5);
-  EXPECT_EQ(engine.run_vm("f", {}).as_int(), 5);
 }
 
 // ---------------------------------------------------------------------------
@@ -226,14 +211,14 @@ TEST(Jit, SignatureCachePerTypes) {
 }
 
 TEST(Jit, NotJittableFallbacks) {
-  // Lists are dynamic -> NotJittable; the VM still handles it.
+  // Lists are dynamic -> NotJittable; the interpreter still handles it.
   const std::string src =
       "def f(n):\n"
       "    xs = list(n)\n"
       "    return len(xs)\n";
   sm::Engine engine(src);
   EXPECT_THROW(engine.run_jit("f", {Value::of(3)}), sm::NotJittable);
-  EXPECT_EQ(engine.run_vm("f", {Value::of(3)}).as_int(), 3);
+  EXPECT_EQ(engine.run_interpreted("f", {Value::of(3)}).as_int(), 3);
 
   // Polymorphic variable -> NotJittable.
   sm::Engine e2(
@@ -337,9 +322,15 @@ TEST(Ffi, InstallIntoInterpreterAndVm) {
   EXPECT_DOUBLE_EQ(
       engine.run_interpreted("angle", {Value::of(1.0), Value::of(1.0)}).as_float(),
       want);
+
+  // atan2 is no JIT intrinsic, so @jit code calling it leaves the typed
+  // subset and Engine::run falls back to the interpreter, which has the
+  // binding.
+  sm::Engine jitted("@jit\n" + src);
+  jitted.bind(sm::CModule::math());
   EXPECT_DOUBLE_EQ(
-      engine.run_vm("angle", {Value::of(1.0), Value::of(1.0)}).as_float(),
-      want);
+      jitted.run("angle", {Value::of(1.0), Value::of(1.0)}).as_float(), want);
+  EXPECT_EQ(jitted.jit_cache_size(), 0u);
 }
 
 // ---------------------------------------------------------------------------

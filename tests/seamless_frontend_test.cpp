@@ -2,8 +2,12 @@
 // interpreter: language semantics against Python ground truth.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <functional>
+
 #include "seamless/ast.hpp"
 #include "seamless/interpreter.hpp"
+#include "seamless/seamless.hpp"
 #include "seamless/token.hpp"
 
 namespace sm = pyhpc::seamless;
@@ -117,6 +121,93 @@ TEST(Parser, ParseExpressionHelper) {
   EXPECT_EQ(e->bin_op, sm::BinOp::kAdd);
 }
 
+namespace {
+
+bool parses(const std::string& source) {
+  try {
+    sm::parse(source);
+    return true;
+  } catch (const pyhpc::CompileError&) {
+    return false;
+  }
+}
+
+// The largest n whose source parses, found by doubling then bisecting.
+int deepest_accepted(const std::function<std::string(int)>& source_of) {
+  int ok = 0;
+  int bad = 1;
+  while (parses(source_of(bad))) {
+    ok = bad;
+    bad *= 2;
+  }
+  while (bad - ok > 1) {
+    const int mid = ok + (bad - ok) / 2;
+    (parses(source_of(mid)) ? ok : bad) = mid;
+  }
+  return ok;
+}
+
+}  // namespace
+
+TEST(Parser, DeepNestingIsACompileError) {
+  // Four shapes of def f(x), each nesting n deep: parentheses, if blocks,
+  // unary minuses, and a left-associative chain (whose leftmost operand
+  // sits n - 1 operator nodes down).
+  const std::function<std::string(int)> shapes[] = {
+      [](int n) {
+        return "def f(x):\n    return " + std::string(n, '(') + "x" +
+               std::string(n, ')') + "\n";
+      },
+      [](int n) {
+        std::string s = "def f(x):\n";
+        for (int i = 1; i <= n; ++i) s += std::string(i, ' ') + "if x:\n";
+        return s + std::string(n + 1, ' ') + "return 1\n";
+      },
+      [](int n) {
+        return "def f(x):\n    return " + std::string(n, '-') + "x\n";
+      },
+      [](int n) {
+        std::string s = "def f(x):\n    return x";
+        for (int i = 1; i < n; ++i) s += " + x";
+        return s + "\n";
+      },
+  };
+  // Each nested block indents one column more, so that source grows as
+  // n^2 / 2: 50 MB at 10,000 levels, where 100,000 would need 5 GB.
+  const int too_deep[] = {100000, 10000, 100000, 100000};
+  for (int shape = 0; shape < 4; ++shape) {
+    SCOPED_TRACE("shape " + std::to_string(shape));
+    try {
+      sm::parse(shapes[shape](too_deep[shape]));
+      ADD_FAILURE() << "parsed";
+    } catch (const pyhpc::CompileError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("line ", 0), 0u) << e.what();
+      EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos)
+          << e.what();
+    }
+    // The deepest source that parses sits within two levels of the limit
+    // (the def body and the leaf count too), and the interpreter and the
+    // JIT, which both walk the tree recursively, agree on it.
+    const int n = deepest_accepted(shapes[shape]);
+    EXPECT_GE(n, sm::kMaxNesting - 2);
+    EXPECT_LT(n, sm::kMaxNesting);
+    sm::Engine engine(shapes[shape](n));
+    const Value vi = engine.run_interpreted("f", {Value::of(1)});
+    const Value vj = engine.run_jit("f", {Value::of(1)});
+    EXPECT_EQ(vi.as_int(), vj.as_int());
+    EXPECT_EQ(std::abs(vi.as_int()), shape == 3 ? n : 1);
+  }
+  // parse_expression has the same limit.
+  EXPECT_THROW(sm::parse_expression(std::string(100000, '(') + "1" +
+                                    std::string(100000, ')')),
+               pyhpc::CompileError);
+  EXPECT_THROW(sm::parse_expression(std::string(100000, '-') + "1"),
+               pyhpc::CompileError);
+  std::string chain = "1";
+  for (int i = 1; i < 100000; ++i) chain += " + 1";
+  EXPECT_THROW(sm::parse_expression(chain), pyhpc::CompileError);
+}
+
 // ---------------------------------------------------------------------------
 // Interpreter semantics
 // ---------------------------------------------------------------------------
@@ -206,6 +297,32 @@ TEST(Interp, RecursionAndMultipleFunctions) {
 TEST(Interp, InfiniteRecursionBounded) {
   EXPECT_THROW(run("def f(n):\n    return f(n)\n", "f", {Value::of(1)}),
                pyhpc::RuntimeFault);
+}
+
+TEST(Interp, DeepBodyRecursionBounded) {
+  // 390 calls with the self-call under 200 unary minuses each: few enough
+  // calls, but the nesting inside the bodies adds up, and the budget
+  // charges it.
+  const std::string deep =
+      "def f(n):\n"
+      "    if n == 0:\n"
+      "        return 0\n"
+      "    return " + std::string(200, '-') + "f(n - 1)\n";
+  try {
+    run(deep, "f", {Value::of(390)});
+    FAIL() << "returned";
+  } catch (const pyhpc::RuntimeFault& e) {
+    EXPECT_NE(std::string(e.what()).find("maximum recursion depth exceeded"),
+              std::string::npos)
+        << e.what();
+  }
+  // The same depth of recursion with a shallow body still returns.
+  const std::string shallow =
+      "def f(n):\n"
+      "    if n == 0:\n"
+      "        return 0\n"
+      "    return f(n - 1) + 1\n";
+  EXPECT_EQ(run(shallow, "f", {Value::of(390)}).as_int(), 390);
 }
 
 TEST(Interp, ListsAndArrays) {
