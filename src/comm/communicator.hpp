@@ -1277,8 +1277,9 @@ class Communicator {
   /// Zero-copy alltoallv: consumes the send parts, moving each one into
   /// its envelope instead of copying — the shuffle primitive's payloads
   /// travel by pointer swap end to end (receivers move them back out via
-  /// the take() fast path). Linear schedule only: every part must be moved
-  /// before any blocking receive so sends stay non-blocking.
+  /// the take() fast path). Linear schedule only, whatever
+  /// CommConfig::coll.alltoall says: every part must be moved before any
+  /// blocking receive so sends stay non-blocking.
   template <class T>
   std::vector<std::vector<T>> alltoallv(
       std::vector<std::vector<T>>&& sendparts) {

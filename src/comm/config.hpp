@@ -44,7 +44,10 @@ struct CollectivePolicy {
   CollectiveAlgo allgather = CollectiveAlgo::kAuto;  ///< kLinear | kBruck | kRing
   CollectiveAlgo gather = CollectiveAlgo::kAuto;     ///< kLinear | kBinomial
   CollectiveAlgo scatter = CollectiveAlgo::kAuto;    ///< kLinear | kBinomial
-  CollectiveAlgo alltoall = CollectiveAlgo::kAuto;   ///< kLinear | kPairwise
+  /// kLinear | kPairwise. Governs alltoall and the copying alltoallv; the
+  /// zero-copy alltoallv(std::vector<std::vector<T>>&&), under tpetra
+  /// Import/Export and odin::redistribute, always runs the linear schedule.
+  CollectiveAlgo alltoall = CollectiveAlgo::kAuto;
 
   /// allreduce payloads >= this many bytes use Rabenseifner
   /// (reduce-scatter + allgather, 2n bytes per rank); smaller ones use

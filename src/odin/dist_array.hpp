@@ -72,12 +72,13 @@ class DistArray {
         data_(static_cast<std::size_t>(dist_->local_count()), fill) {}
 
   /// Result-array factory for single-pass kernels (map, zip, fused eval,
-  /// where, creation fills): the local buffer is allocated but NOT
-  /// zero-filled, so the writing kernel's stores are the buffer's first
-  /// touch instead of a second pass over freshly memset pages. Call-site
-  /// rule: every local element must be written before it can be read —
-  /// anything with partial or communication-dependent coverage
-  /// (redistribute, slicing) takes the zeroing constructor instead.
+  /// where, creation fills, and redistribute, whose receive walk writes
+  /// each local element exactly once after checking every part's length
+  /// against its plan): the local buffer is allocated but NOT zero-filled,
+  /// so the writing kernel's stores are the buffer's first touch instead
+  /// of a second pass over freshly memset pages. Call-site rule: every
+  /// local element must be written before it can be read — anything with
+  /// partial coverage (slicing) takes the zeroing constructor instead.
   static DistArray uninitialized(Distribution dist) {
     return DistArray(std::move(dist), Uninit{});
   }
@@ -341,10 +342,26 @@ class DistArray {
     return out;
   }
 
+  /// Stores f(global multi-index) into every local element, walking the
+  /// local elements in order with an odometer over the per-axis global
+  /// indices: one index vector, updated only on the axes that move.
   template <class F>
   void fill_from_global(F&& f) {
-    for (index_t l = 0; l < local_size(); ++l) {
-      data_[static_cast<std::size_t>(l)] = f(dist_->global_of_local(l));
+    if (data_.empty()) return;
+    const auto axes = dist_->local_axis_globals();
+    std::vector<index_t> gidx(axes.size());
+    std::vector<std::size_t> lidx(axes.size(), 0);
+    for (std::size_t a = 0; a < axes.size(); ++a) gidx[a] = axes[a][0];
+    for (auto& x : data_) {
+      x = f(gidx);
+      for (std::size_t a = axes.size(); a-- > 0;) {
+        if (++lidx[a] < axes[a].size()) {
+          gidx[a] = axes[a][lidx[a]];
+          break;
+        }
+        lidx[a] = 0;
+        gidx[a] = axes[a][0];
+      }
     }
   }
 
@@ -384,24 +401,29 @@ class DistArray {
     return shape().delinearize(global.linear);
   }
 
-  template <class U>
-  friend DistArray<U> redistribute(const DistArray<U>& a,
-                                   const Distribution& target);
-
   std::shared_ptr<Distribution> dist_;
   // DefaultInitAllocator so the Uninit path can skip the zero-fill; the
   // public constructors pass an explicit fill value and are unaffected.
   std::vector<T, util::DefaultInitAllocator<T>> data_;
 };
 
-/// Moves an array onto a new distribution of the same global shape
-/// (collective alltoallv; ships (global linear index, value) pairs).
+/// Moves an array onto a new distribution of the same global shape over a
+/// communicator of the same size. Collective: one zero-copy alltoallv
+/// that carries values only (the linear schedule, like tpetra
+/// Import/Export; CommConfig::coll.alltoall does not apply). Each rank
+/// sends its elements to their owners under `target` in local order (only
+/// the canonical copy of a fully replicated source sends; a fully
+/// replicated target receives every element on every rank). Each
+/// receiver runs the plan the other way,
+/// redistribution_targets(target, from), to learn the source of each of
+/// its elements, and — local order rising with global index on both sides
+/// — takes the values with one cursor per source.
 template <class T>
 DistArray<T> redistribute(const DistArray<T>& a, const Distribution& target) {
-  require<ShapeError>(a.shape() == target.global_shape(),
-                      "redistribute: global shapes differ");
-  auto& comm = a.dist().comm();
-  const int p = comm.size();
+  const Distribution& from = a.dist();
+  const std::vector<int> targets = redistribution_targets(from, target);
+  auto& comm = from.comm();
+  const auto p = static_cast<std::size_t>(comm.size());
 
   obs::Span span("redistribute", "odin");
   if (span.active()) {
@@ -410,50 +432,48 @@ DistArray<T> redistribute(const DistArray<T>& a, const Distribution& target) {
                           static_cast<std::size_t>(a.local_size()) * sizeof(T)));
   }
 
-  struct Entry {
-    index_t local_at_target;
-    T value;
-  };
-  std::vector<std::vector<Entry>> outgoing(static_cast<std::size_t>(p));
-  for (index_t l = 0; l < a.local_size(); ++l) {
-    const auto gidx = a.dist().global_of_local(l);
-    // Only the canonical replica sends (a replicated source holds every
-    // element on every rank — without this, p copies race to the target);
-    // and each element goes to every target replica, not just the
-    // canonical one (a replicated target stores a copy per rank).
-    if (a.dist().owner_of(gidx).first != comm.rank()) continue;
-    for (const auto& [owner, lidx] : target.owners_of(gidx)) {
-      outgoing[static_cast<std::size_t>(owner)].push_back(
-          Entry{lidx, a.local_view()[static_cast<std::size_t>(l)]});
+  const auto values = a.local_view();
+  std::vector<std::vector<T>> parts(p);
+  if (!from.fully_replicated() || comm.rank() == 0) {
+    if (target.fully_replicated()) {
+      for (auto& part : parts) part.assign(values.begin(), values.end());
+    } else {
+      std::vector<std::size_t> count(p, 0);
+      for (const int t : targets) ++count[static_cast<std::size_t>(t)];
+      for (std::size_t r = 0; r < p; ++r) parts[r].reserve(count[r]);
+      for (std::size_t l = 0; l < targets.size(); ++l) {
+        parts[static_cast<std::size_t>(targets[l])].push_back(values[l]);
+      }
     }
   }
-  auto incoming = comm.alltoallv(outgoing);
+  auto incoming = comm.alltoallv(std::move(parts));
 
-  DistArray<T> out(target);
-  auto view = out.local_view();
-  for (const auto& part : incoming) {
-    for (const auto& e : part) {
-      view[static_cast<std::size_t>(e.local_at_target)] = e.value;
-    }
+  const std::vector<int> sources = redistribution_targets(target, from);
+  std::vector<std::size_t> cursor(p, 0);
+  for (const int s : sources) ++cursor[static_cast<std::size_t>(s)];
+  for (std::size_t s = 0; s < p; ++s) {
+    require<CommError>(incoming[s].size() == cursor[s], "redistribute: rank ",
+                       s, " sent ", incoming[s].size(),
+                       " values but the plan expects ", cursor[s]);
+    cursor[s] = 0;
+  }
+  DistArray<T> out = DistArray<T>::uninitialized(target);
+  const auto dst = out.local_view();
+  for (std::size_t l = 0; l < sources.size(); ++l) {
+    const auto s = static_cast<std::size_t>(sources[l]);
+    dst[l] = incoming[s][cursor[s]++];
   }
   return out;
 }
 
 /// Estimated communication cost (elements leaving their rank) of moving
-/// `a` onto `target`. Collective. Used by the kAuto conform strategy —
-/// the paper's "expression analysis to select the appropriate
-/// communication strategy".
+/// `a` onto `target`: the sum over ranks of redistribution_local_cost.
+/// Collective. Used by the kAuto conform strategy — the paper's
+/// "expression analysis to select the appropriate communication strategy".
 template <class T>
 index_t redistribution_cost(const DistArray<T>& a, const Distribution& target) {
-  index_t moving = 0;
-  for (index_t l = 0; l < a.local_size(); ++l) {
-    const auto gidx = a.dist().global_of_local(l);
-    if (a.dist().owner_of(gidx).first != a.dist().rank()) continue;
-    for (const auto& [owner, lidx] : target.owners_of(gidx)) {
-      if (owner != a.dist().rank()) ++moving;
-    }
-  }
-  return a.dist().comm().allreduce_value(moving, std::plus<index_t>{});
+  return a.dist().comm().allreduce_value(
+      redistribution_local_cost(a.dist(), target), std::plus<index_t>{});
 }
 
 template <class T>
@@ -470,22 +490,13 @@ DistArray<T> DistArray<T>::zip(const DistArray& other, F&& f,
     case ConformStrategy::kLeft:
       return redistribute(*this, other.dist()).zip_local(other, f);
     case ConformStrategy::kAuto: {
-      // One fused local pass measures both directions, and a single
-      // two-element allreduce replaces the two collective
-      // redistribution_cost passes the old path ran; the chosen operand is
-      // then redistributed directly instead of recursively re-entering zip
-      // (which re-checked shape and conformability for nothing). Net: 3
-      // collective entries per rank instead of 5.
+      // Both directions are measured from the plan redistribute runs, and
+      // one two-element allreduce sums them; the chosen operand is then
+      // redistributed directly.
       obs::Span span("zip.auto_conform", "odin");
-      index_t local[2] = {0, 0};  // elements leaving their rank: [this, other]
-      for (index_t l = 0; l < local_size(); ++l) {
-        const auto gidx = dist_->global_of_local(l);
-        if (other.dist().owner_of(gidx).first != dist_->rank()) ++local[0];
-      }
-      for (index_t l = 0; l < other.local_size(); ++l) {
-        const auto gidx = other.dist_->global_of_local(l);
-        if (dist_->owner_of(gidx).first != other.dist().rank()) ++local[1];
-      }
+      const index_t local[2] = {  // elements leaving their rank: [this, other]
+          redistribution_local_cost(*dist_, other.dist()),
+          redistribution_local_cost(other.dist(), *dist_)};
       index_t costs[2] = {0, 0};
       dist_->comm().allreduce(std::span<const index_t>(local, 2),
                               std::span<index_t>(costs, 2),

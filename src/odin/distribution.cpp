@@ -34,6 +34,13 @@ void Distribution::finalize() {
   require(total == comm_->size() || (grid_.empty() && comm_->size() >= 1),
           "Distribution: process grid covers ", total,
           " ranks but the communicator has ", comm_->size());
+  // Row-major rank numbering: the last grid dimension varies fastest.
+  grid_stride_.assign(grid_.size(), 1);
+  for (int g = static_cast<int>(grid_.size()) - 2; g >= 0; --g) {
+    grid_stride_[static_cast<std::size_t>(g)] =
+        grid_stride_[static_cast<std::size_t>(g) + 1] *
+        grid_[static_cast<std::size_t>(g) + 1];
+  }
 }
 
 Distribution Distribution::block(comm::Communicator& comm, Shape shape,
@@ -135,22 +142,11 @@ Distribution Distribution::replicated(comm::Communicator& comm, Shape shape) {
   return d;
 }
 
-std::vector<int> Distribution::grid_coords(int rank) const {
-  std::vector<int> coords(grid_.size(), 0);
-  for (int g = static_cast<int>(grid_.size()) - 1; g >= 0; --g) {
-    coords[static_cast<std::size_t>(g)] =
-        rank % grid_[static_cast<std::size_t>(g)];
-    rank /= grid_[static_cast<std::size_t>(g)];
-  }
-  return coords;
-}
-
-int Distribution::rank_of_coords(const std::vector<int>& coords) const {
-  int rank = 0;
-  for (std::size_t g = 0; g < grid_.size(); ++g) {
-    rank = rank * grid_[g] + coords[g];
-  }
-  return rank;
+int Distribution::axis_coord(int axis, int rank) const {
+  const int gd = axis_grid_dim_[static_cast<std::size_t>(axis)];
+  if (gd < 0) return 0;
+  return (rank / grid_stride_[static_cast<std::size_t>(gd)]) %
+         grid_[static_cast<std::size_t>(gd)];
 }
 
 int Distribution::axis_owner(int axis, index_t g) const {
@@ -237,68 +233,72 @@ index_t Distribution::axis_count(int axis, int c) const {
 }
 
 Shape Distribution::local_shape_for(int rank) const {
-  const auto coords = grid_coords(rank);
   std::vector<index_t> dims(static_cast<std::size_t>(shape_.ndim()), 0);
   for (int a = 0; a < shape_.ndim(); ++a) {
-    const int gd = axis_grid_dim_[static_cast<std::size_t>(a)];
-    const int c = gd < 0 ? 0 : coords[static_cast<std::size_t>(gd)];
-    dims[static_cast<std::size_t>(a)] = axis_count(a, c);
+    dims[static_cast<std::size_t>(a)] = axis_count(a, axis_coord(a, rank));
   }
   return Shape(std::move(dims));
+}
+
+index_t Distribution::local_count() const {
+  index_t n = 1;
+  for (int a = 0; a < shape_.ndim(); ++a) {
+    n *= axis_count(a, axis_coord(a, rank()));
+  }
+  return n;
 }
 
 std::pair<int, index_t> Distribution::owner_of(
     const std::vector<index_t>& gidx) const {
   require(gidx.size() == static_cast<std::size_t>(shape_.ndim()),
           "Distribution::owner_of: index rank mismatch");
-  std::vector<int> coords(grid_.size(), 0);
-  std::vector<index_t> lidx(static_cast<std::size_t>(shape_.ndim()), 0);
-  for (int a = 0; a < shape_.ndim(); ++a) {
+  // One pass from the last axis: the owner's local extents along the axes
+  // already passed are the row-major stride of its local offset.
+  int owner = 0;
+  index_t offset = 0;
+  index_t stride = 1;
+  for (int a = shape_.ndim() - 1; a >= 0; --a) {
     const index_t g = gidx[static_cast<std::size_t>(a)];
     require(g >= 0 && g < shape_.extent(a),
             "Distribution::owner_of: index out of bounds");
     const int gd = axis_grid_dim_[static_cast<std::size_t>(a)];
-    if (gd >= 0) {
-      coords[static_cast<std::size_t>(gd)] = axis_owner(a, g);
-    }
-    lidx[static_cast<std::size_t>(a)] = axis_local(a, g);
+    const int c = gd < 0 ? 0 : axis_owner(a, g);
+    if (gd >= 0) owner += c * grid_stride_[static_cast<std::size_t>(gd)];
+    offset += axis_local(a, g) * stride;
+    stride *= axis_count(a, c);
   }
-  const int owner = rank_of_coords(coords);
-  return {owner, local_shape_for(owner).linearize(lidx)};
-}
-
-std::vector<std::pair<int, index_t>> Distribution::owners_of(
-    const std::vector<index_t>& gidx) const {
-  const auto primary = owner_of(gidx);
-  // finalize() guarantees a non-empty grid covers the communicator
-  // exactly, so replicas exist only when the grid is empty (every axis
-  // replicated) — then each rank holds the element at the same offset.
-  if (!grid_.empty() || comm_->size() == 1) return {primary};
-  std::vector<std::pair<int, index_t>> all;
-  all.reserve(static_cast<std::size_t>(comm_->size()));
-  for (int q = 0; q < comm_->size(); ++q) {
-    all.emplace_back(q, primary.second);
-  }
-  return all;
+  return {owner, offset};
 }
 
 std::vector<index_t> Distribution::global_of_local_for(
     int rank, index_t local_linear) const {
-  const auto coords = grid_coords(rank);
-  const Shape lshape = local_shape_for(rank);
-  auto lidx = lshape.delinearize(local_linear);
-  std::vector<index_t> gidx(lidx.size(), 0);
-  for (int a = 0; a < shape_.ndim(); ++a) {
-    const int gd = axis_grid_dim_[static_cast<std::size_t>(a)];
-    const int c = gd < 0 ? 0 : coords[static_cast<std::size_t>(gd)];
+  std::vector<index_t> gidx(static_cast<std::size_t>(shape_.ndim()), 0);
+  for (int a = shape_.ndim() - 1; a >= 0; --a) {
+    const int c = axis_coord(a, rank);
+    const index_t count = axis_count(a, c);
     gidx[static_cast<std::size_t>(a)] =
-        axis_global(a, c, lidx[static_cast<std::size_t>(a)]);
+        axis_global(a, c, local_linear % count);
+    local_linear /= count;
   }
   return gidx;
 }
 
 std::vector<index_t> Distribution::global_of_local(index_t local_linear) const {
   return global_of_local_for(rank(), local_linear);
+}
+
+std::vector<std::vector<index_t>> Distribution::local_axis_globals() const {
+  std::vector<std::vector<index_t>> globals(
+      static_cast<std::size_t>(shape_.ndim()));
+  for (int a = 0; a < shape_.ndim(); ++a) {
+    const int c = axis_coord(a, rank());
+    auto& axis = globals[static_cast<std::size_t>(a)];
+    axis.resize(static_cast<std::size_t>(axis_count(a, c)));
+    for (std::size_t l = 0; l < axis.size(); ++l) {
+      axis[l] = axis_global(a, c, static_cast<index_t>(l));
+    }
+  }
+  return globals;
 }
 
 std::string Distribution::describe() const {
@@ -322,14 +322,58 @@ std::string Distribution::describe() const {
 std::vector<int> redistribution_targets(const Distribution& from,
                                         const Distribution& to) {
   require<ShapeError>(from.global_shape() == to.global_shape(),
-                      "redistribution: global shapes differ");
+                      "redistribution: global shapes differ: ",
+                      from.global_shape(), " vs ", to.global_shape());
+  require(from.num_ranks() == to.num_ranks(),
+          "redistribution: the source spans ", from.num_ranks(),
+          " ranks but the target spans ", to.num_ranks());
+  // Per axis, the share of the target rank that each local coordinate
+  // fixes: its owning grid coordinate under `to` times that grid
+  // dimension's rank stride (0 on an axis `to` does not distribute).
+  const int nd = from.ndim();
+  const auto globals = from.local_axis_globals();
+  std::vector<std::vector<int>> share(static_cast<std::size_t>(nd));
+  for (int a = 0; a < nd; ++a) {
+    const auto& g = globals[static_cast<std::size_t>(a)];
+    auto& s = share[static_cast<std::size_t>(a)];
+    s.assign(g.size(), 0);
+    const int stride = to.axis_rank_stride(a);
+    if (stride == 0) continue;
+    for (std::size_t l = 0; l < g.size(); ++l) {
+      s[l] = to.axis_owner(a, g[l]) * stride;
+    }
+  }
+  // Odometer over the local elements in row-major order: the outer axes'
+  // shares sum to a base, the innermost axis runs contiguously.
   const index_t n = from.local_count();
   std::vector<int> targets(static_cast<std::size_t>(n), 0);
-  for (index_t l = 0; l < n; ++l) {
-    const auto gidx = from.global_of_local(l);
-    targets[static_cast<std::size_t>(l)] = to.owner_of(gidx).first;
+  if (n == 0 || nd == 0) return targets;
+  const auto& inner = share[static_cast<std::size_t>(nd) - 1];
+  std::vector<std::size_t> idx(static_cast<std::size_t>(nd), 0);
+  for (std::size_t out = 0; out < targets.size();) {
+    int base = 0;
+    for (std::size_t a = 0; a + 1 < idx.size(); ++a) base += share[a][idx[a]];
+    for (const int s : inner) targets[out++] = base + s;
+    for (int a = nd - 2; a >= 0; --a) {
+      const auto ua = static_cast<std::size_t>(a);
+      if (++idx[ua] < share[ua].size()) break;
+      idx[ua] = 0;
+    }
   }
   return targets;
+}
+
+index_t redistribution_local_cost(const Distribution& from,
+                                  const Distribution& to) {
+  const std::vector<int> targets = redistribution_targets(from, to);
+  const int me = from.rank();
+  if (from.fully_replicated() && me != 0) return 0;
+  if (to.fully_replicated()) {
+    return static_cast<index_t>(targets.size()) * (to.num_ranks() - 1);
+  }
+  return static_cast<index_t>(
+      std::count_if(targets.begin(), targets.end(),
+                    [me](int t) { return t != me; }));
 }
 
 }  // namespace pyhpc::odin

@@ -94,28 +94,32 @@ class Distribution {
   /// Local extents on an arbitrary rank.
   Shape local_shape_for(int rank) const;
 
-  index_t local_count() const { return local_shape().count(); }
+  index_t local_count() const;
+
+  /// True when no axis is distributed: every rank stores the whole array
+  /// and rank 0 holds the canonical copy. Otherwise the process grid
+  /// covers the communicator and each element lives on exactly one rank.
+  bool fully_replicated() const { return grid_.empty(); }
 
   /// Owning rank and local linear offset of a global multi-index. For
   /// axes replicated across a grid dimension the owner is the rank whose
   /// other coordinates match; replicated axes do not affect ownership.
-  /// When the element is replicated on several ranks this returns the
-  /// canonical (lowest-rank) copy — use owners_of for all of them.
+  /// A fully replicated array has a copy on every rank; this returns the
+  /// canonical one (rank 0). Allocates nothing.
   std::pair<int, index_t> owner_of(const std::vector<index_t>& gidx) const;
-
-  /// Every (rank, local linear offset) holding a copy of `gidx`. A fully
-  /// distributed layout has exactly one; a replicated distribution (empty
-  /// process grid) stores a copy on every rank. Writers — redistribute in
-  /// particular — must hit all of them, not just the canonical owner.
-  std::vector<std::pair<int, index_t>> owners_of(
-      const std::vector<index_t>& gidx) const;
 
   /// Global multi-index of a local linear offset on this rank.
   std::vector<index_t> global_of_local(index_t local_linear) const;
 
   /// Global multi-index of a local linear offset on an arbitrary rank.
+  /// Allocates only its result.
   std::vector<index_t> global_of_local_for(int rank,
                                            index_t local_linear) const;
+
+  /// Per axis, the global index of each of this rank's local coordinates
+  /// along it, in local order (which rises with global index in every
+  /// scheme).
+  std::vector<std::vector<index_t>> local_axis_globals() const;
 
   /// Per-axis: the grid coordinate owning global index g.
   int axis_owner(int axis, index_t g) const;
@@ -129,15 +133,17 @@ class Distribution {
   /// Per-axis: local extent at grid coordinate c.
   index_t axis_count(int axis, int c) const;
 
-  /// Grid coordinates of a rank (row-major over grid_).
-  std::vector<int> grid_coords(int rank) const;
-
-  /// Rank of grid coordinates.
-  int rank_of_coords(const std::vector<int>& coords) const;
-
   /// The grid dimension assigned to each axis (-1 when replicated).
   int grid_dim_of_axis(int axis) const {
     return axis_grid_dim_[static_cast<std::size_t>(axis)];
+  }
+
+  /// Per-axis: ranks between neighbouring grid coordinates along `axis`
+  /// (0 when the axis is replicated). The owner of a global multi-index g
+  /// is the sum over axes of axis_owner(axis, g[axis]) times this stride.
+  int axis_rank_stride(int axis) const {
+    const int gd = grid_dim_of_axis(axis);
+    return gd < 0 ? 0 : grid_stride_[static_cast<std::size_t>(gd)];
   }
 
   std::string describe() const;
@@ -150,16 +156,48 @@ class Distribution {
   static std::vector<index_t> uniform_offsets(index_t n, int p);
   void finalize();
 
+  /// Per-axis: the grid coordinate of `rank` along the grid dimension
+  /// assigned to `axis` (0 when the axis is replicated).
+  int axis_coord(int axis, int rank) const;
+
   std::shared_ptr<comm::Communicator> comm_;
   Shape shape_;
   std::vector<AxisSpec> specs_;     // one per array axis
   std::vector<int> grid_;           // process grid extents (row-major)
+  std::vector<int> grid_stride_;    // ranks between neighbours per grid dim
   std::vector<int> axis_grid_dim_;  // array axis -> grid dim (-1 replicated)
 };
 
-/// A reusable all-to-all plan that moves elements between two distributions
-/// of the same global shape (the engine under redistribute()/slicing).
+/// The plan under redistribute, redistribution_cost and zip's kAuto pass:
+/// for each of this rank's local elements of `from`, in local order, the
+/// rank that owns it under `to` (for a fully replicated `to`, the
+/// canonical owner, rank 0). Built from per-axis tables — one owner lookup
+/// per local coordinate of each axis, then an odometer over the local
+/// elements — so nothing is allocated per element. Local: no
+/// communication. Throws ShapeError when the global shapes differ and
+/// InvalidArgument when the communicators differ in size. When each
+/// communicator has one size on every rank, that check fails on every
+/// rank alike, so a collective caller fails before its first message.
+/// Communicators whose size varies by rank (`from` and `to` over
+/// different splits) or that order the same ranks differently are not
+/// detected: that needs a communicator congruence check.
+///
+/// Invariant the receiving side of redistribute relies on: in every
+/// scheme, local order along an axis rises with global index, so a rank's
+/// local (row-major) order is the global row-major order of the elements
+/// it holds. The elements rank s sends rank r therefore leave s and land
+/// on r in the same order, and redistribution_targets(to, from) on r —
+/// the source rank of each of r's elements — places them with one cursor
+/// per source.
 std::vector<int> redistribution_targets(const Distribution& from,
                                         const Distribution& to);
+
+/// Elements of this rank's part of `from` that leave the rank when the
+/// array moves onto `to`: the plan's targets other than this rank. Only
+/// the canonical copy of a fully replicated `from` sends, so its other
+/// ranks count nothing; a fully replicated `to` takes a copy on each of
+/// its other ranks. Local: no communication; same checks as the plan.
+index_t redistribution_local_cost(const Distribution& from,
+                                  const Distribution& to);
 
 }  // namespace pyhpc::odin

@@ -1,23 +1,28 @@
 // Allocation budgets of hot paths: copying a Map shares its index data, a
-// Vector allocates only its values, and an AMG V-cycle allocates the same
+// Vector allocates only its values, an AMG V-cycle allocates the same
 // number of times whatever the problem size (its vectors live in per-level
-// workspace; what remains is per-message comm traffic). Counting replaces
-// the global operator new, which is why these tests have their own binary.
+// workspace; what remains is per-message comm traffic), and so do ODIN's
+// redistribution plan and move, owner lookups and fromfunction. Counting
+// replaces the global operator new, which is why these tests have their
+// own binary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <numeric>
 #include <vector>
 
 #include "comm/runner.hpp"
 #include "galeri/gallery.hpp"
+#include "odin/dist_array.hpp"
 #include "precond/amg.hpp"
 
 namespace pc = pyhpc::comm;
 namespace gl = pyhpc::galeri;
+namespace od = pyhpc::odin;
 namespace pp = pyhpc::precond;
 
 using GO = std::int64_t;
@@ -104,4 +109,78 @@ TEST_P(AmgApplyAlloc, CountDoesNotGrowWithProblemSize) {
   }
   EXPECT_EQ(per_size[0], per_size[1])
       << "AMG apply allocations grew from laplace2d(32,32) to (64,64)";
+}
+
+class RedistributeAlloc : public ::testing::TestWithParam<int> {};
+INSTANTIATE_TEST_SUITE_P(Ranks, RedistributeAlloc, ::testing::Values(1, 3));
+
+// The plan is built from per-axis tables and the parts are sized exactly,
+// so planning and moving allocate per part and per message, never per
+// element.
+TEST_P(RedistributeAlloc, PlanAndMoveCountDoesNotGrowWithArraySize) {
+  const int nranks = GetParam();
+  pc::CommConfig cfg;
+  cfg.threads = 1;
+  std::vector<std::vector<std::size_t>> per_size;
+  for (const od::index_t n : {16 * 1024, 64 * 1024}) {
+    std::vector<std::size_t> per_rank(static_cast<std::size_t>(nranks), 0);
+    pc::run(nranks, cfg, [&](pc::Communicator& comm) {
+      const od::Shape shape{n};
+      const auto cyclic = od::Distribution::cyclic(comm, shape, 0);
+      const auto a =
+          od::DistArray<double>::arange(od::Distribution::block(comm, shape, 0));
+      // As for the V-cycle: each rank keeps its fewest over many calls.
+      std::size_t fewest = SIZE_MAX;
+      for (int rep = 0; rep < 20; ++rep) {
+        const std::size_t before = t_allocations;
+        const od::index_t cost = od::redistribution_cost(a, cyclic);
+        const auto b = od::redistribute(a, cyclic);
+        fewest = std::min(fewest, t_allocations - before);
+        EXPECT_EQ(b.local_size(), cyclic.local_count());
+        EXPECT_EQ(cost == 0, nranks == 1);
+      }
+      per_rank[static_cast<std::size_t>(comm.rank())] = fewest;
+    });
+    per_size.push_back(per_rank);
+  }
+  EXPECT_EQ(per_size[0], per_size[1])
+      << "block -> cyclic plan and move allocations grew from 16Ki to 64Ki";
+}
+
+TEST(Alloc, OwnerLookupOnAGridAllocatesNothing) {
+  pc::run(4, [](pc::Communicator& comm) {
+    const auto grid = od::Distribution::block_grid(
+        comm, od::Shape({30, 20}), {0, 1}, {2, 2});
+    std::vector<od::index_t> g(2, 0);
+    od::index_t checksum = 0;
+    const std::size_t before = t_allocations;
+    for (g[0] = 0; g[0] < 30; ++g[0]) {
+      for (g[1] = 0; g[1] < 20; ++g[1]) {
+        const auto [owner, offset] = grid.owner_of(g);
+        checksum += owner + offset;
+      }
+    }
+    EXPECT_EQ(t_allocations - before, 0u);
+    EXPECT_GT(checksum, 0);
+  });
+}
+
+TEST(Alloc, FromFunctionCountDoesNotGrowWithArraySize) {
+  pc::run(1, [](pc::Communicator& comm) {
+    const std::function<double(const std::vector<od::index_t>&)> f =
+        [](const std::vector<od::index_t>& g) {
+          return static_cast<double>(100 * g[0] + g[1]);
+        };
+    std::vector<std::size_t> counts;
+    for (const od::index_t rows : {64, 256}) {
+      const auto dist =
+          od::Distribution::block(comm, od::Shape({rows, 100}), 0);
+      const std::size_t before = t_allocations;
+      const auto a = od::DistArray<double>::fromfunction(dist, f);
+      counts.push_back(t_allocations - before);
+      EXPECT_EQ(a.local_view().back(), static_cast<double>(100 * rows - 1));
+    }
+    EXPECT_EQ(counts[0], counts[1])
+        << "fromfunction allocations grew from 64x100 to 256x100";
+  });
 }

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "comm/runner.hpp"
 #include "odin/dist_array.hpp"
@@ -207,6 +210,15 @@ TEST_P(ArraySweep, AutoStrategyPicksCheaperDirection) {
     EXPECT_GT(cost_a_to_b, 0);
     // Same-layout redistribution is free.
     EXPECT_EQ(od::redistribution_cost(a, a.dist()), 0);
+    // A replicated operand: moving it sends only its canonical copy's
+    // off-rank elements, moving the other onto it sends a copy to every
+    // other rank — so kAuto moves the replicated one, as
+    // redistribution_cost ranks them.
+    Arr r = Arr::ones(od::Distribution::replicated(comm, od::Shape({n})));
+    EXPECT_LT(od::redistribution_cost(r, a.dist()),
+              od::redistribution_cost(a, r.dist()));
+    EXPECT_TRUE((r + a).dist().conformable(a.dist()));
+    EXPECT_TRUE((a + r).dist().conformable(a.dist()));
   });
 }
 
@@ -217,6 +229,10 @@ TEST_P(ArraySweep, MismatchedShapesThrow) {
     Arr a = Arr::ones(d1);
     Arr b = Arr::ones(d2);
     EXPECT_THROW((void)(a + b), pyhpc::ShapeError);
+    // Costing and moving check the shape alike, before any collective.
+    auto wide = od::Distribution::cyclic(comm, od::Shape({20}), 0);
+    EXPECT_THROW((void)od::redistribution_cost(a, wide), pyhpc::ShapeError);
+    EXPECT_THROW((void)od::redistribute(a, wide), pyhpc::ShapeError);
   });
 }
 
@@ -312,6 +328,211 @@ TEST_P(ArraySweep, RedistributeToReplicatedFillsEveryRank) {
       EXPECT_DOUBLE_EQ(back.local_view()[static_cast<std::size_t>(l)],
                        static_cast<double>(g[0]) + 1.0);
     }
+  });
+}
+
+TEST(OdinRedistribute, RejectsDistributionsOverDifferentCommunicatorSizes) {
+  // Regression: a source over a 2-rank split and a target over the 4-rank
+  // world indexed the send parts past their end. The plan rejects the pair
+  // on every rank before any collective starts.
+  pc::run(4, [](pc::Communicator& comm) {
+    auto half = comm.split(comm.rank() / 2, comm.rank());
+    const od::Shape shape{12};
+    const Arr a = Arr::arange(od::Distribution::block(half, shape, 0));
+    const auto world_cyclic = od::Distribution::cyclic(comm, shape, 0);
+    const Arr b = Arr::ones(world_cyclic);
+    EXPECT_THROW((void)od::redistribute(a, world_cyclic),
+                 pyhpc::InvalidArgument);
+    EXPECT_THROW((void)od::redistribution_cost(a, world_cyclic),
+                 pyhpc::InvalidArgument);
+    EXPECT_THROW((void)(a + b), pyhpc::InvalidArgument);
+    EXPECT_THROW((void)(b + a), pyhpc::InvalidArgument);
+    // Nothing was left in flight: both communicators still reduce.
+    EXPECT_DOUBLE_EQ(a.sum(), 66.0);
+    EXPECT_DOUBLE_EQ(b.sum(), 12.0);
+  });
+}
+
+// E8's byte count, exactly: only the values of elements that change rank
+// cross the wire (8 B per double), and a layout that moves nothing sends
+// nothing.
+TEST(OdinRedistribute, CollectiveBytesAreTheMovedValues) {
+  pc::run(4, [](pc::Communicator& comm) {
+    const index_t n = 65536;
+    const od::Shape shape{n};
+    const auto block = od::Distribution::block(comm, shape, 0);
+    const auto block_cuts = od::Distribution::explicit_block(
+        comm, shape, 0, std::vector<index_t>(4, n / 4));
+    const Arr a = Arr::arange(block);
+    auto bytes_to = [&](const od::Distribution& to) {
+      comm.barrier();
+      comm.stats().reset();
+      const Arr moved = od::redistribute(a, to);
+      const std::uint64_t mine = comm.stats().coll_bytes_sent;
+      return comm.allreduce_value(mine, std::plus<std::uint64_t>{});
+    };
+    // Block -> cyclic at p = 4: three quarters of the elements move.
+    EXPECT_EQ(bytes_to(od::Distribution::cyclic(comm, shape, 0)),
+              49152u * sizeof(double));
+    EXPECT_EQ(bytes_to(block), 0u);
+    EXPECT_EQ(bytes_to(block_cuts), 0u);
+  });
+}
+
+// Property sweep: every ordered pair of layouts of one shape — 1D, 2D with
+// either axis or both distributed, 3D with an undistributed middle axis,
+// empty sections, replication — moves every element to its place, costs
+// what a brute-force count from global_of_local and owner_of says, and
+// adds under kAuto to the serial sum.
+namespace {
+struct Layout {
+  std::string name;
+  od::Distribution dist;
+  bool replicated;
+};
+
+// Rank 1's section is empty (p >= 2); the others grow with the rank.
+std::vector<index_t> skewed_sizes(index_t n, int p) {
+  std::vector<index_t> sizes(static_cast<std::size_t>(p), 0);
+  index_t weight = 0;
+  for (int r = 0; r < p; ++r) weight += r == 1 ? 0 : r + 1;
+  index_t used = 0;
+  for (int r = 0; r < p; ++r) {
+    if (r == 1) continue;
+    sizes[static_cast<std::size_t>(r)] = n * (r + 1) / weight;
+    used += sizes[static_cast<std::size_t>(r)];
+  }
+  sizes.back() += n - used;
+  return sizes;
+}
+
+// Two-dimensional process grids of p with both extents above 1.
+std::vector<std::vector<int>> grids_of(int p) {
+  std::vector<std::vector<int>> grids;
+  for (int rows = 2; rows <= p / 2; ++rows) {
+    if (p % rows == 0) grids.push_back({rows, p / rows});
+  }
+  return grids;
+}
+
+std::vector<Layout> layouts_1d(pc::Communicator& comm, index_t n) {
+  const od::Shape s{n};
+  return {{"block", od::Distribution::block(comm, s, 0), false},
+          {"cyclic", od::Distribution::cyclic(comm, s, 0), false},
+          {"block_cyclic1", od::Distribution::block_cyclic(comm, s, 0, 1),
+           false},
+          {"block_cyclic3", od::Distribution::block_cyclic(comm, s, 0, 3),
+           false},
+          {"skewed",
+           od::Distribution::explicit_block(comm, s, 0,
+                                            skewed_sizes(n, comm.size())),
+           false},
+          {"replicated", od::Distribution::replicated(comm, s), true}};
+}
+
+std::vector<Layout> layouts_2d(pc::Communicator& comm) {
+  const od::Shape s{7, 10};
+  std::vector<Layout> out{
+      {"block_rows", od::Distribution::block(comm, s, 0), false},
+      {"block_cols", od::Distribution::block(comm, s, 1), false},
+      {"cyclic_cols", od::Distribution::cyclic(comm, s, 1), false},
+      {"block_cyclic_rows", od::Distribution::block_cyclic(comm, s, 0, 2),
+       false},
+      {"replicated", od::Distribution::replicated(comm, s), true}};
+  for (const auto& g : grids_of(comm.size())) {
+    out.push_back({"grid" + std::to_string(g[0]) + "x" + std::to_string(g[1]),
+                   od::Distribution::block_grid(comm, s, {0, 1}, g), false});
+  }
+  return out;
+}
+
+std::vector<Layout> layouts_3d(pc::Communicator& comm) {
+  const od::Shape s{4, 3, 5};
+  std::vector<Layout> out{
+      {"block_axis0", od::Distribution::block(comm, s, 0), false},
+      {"block_axis2", od::Distribution::block(comm, s, 2), false},
+      {"replicated", od::Distribution::replicated(comm, s), true}};
+  for (const auto& g : grids_of(comm.size())) {
+    out.push_back({"grid02_" + std::to_string(g[0]) + "x" +
+                       std::to_string(g[1]),
+                   od::Distribution::block_grid(comm, s, {0, 2}, g), false});
+  }
+  return out;
+}
+
+index_t linear_of(const od::Shape& shape, const std::vector<index_t>& g) {
+  index_t lin = 0;
+  for (int a = 0; a < shape.ndim(); ++a) {
+    lin = lin * shape.extent(a) + g[static_cast<std::size_t>(a)];
+  }
+  return lin;
+}
+
+// Elements leaving their rank, counted one by one: only the canonical copy
+// of a replicated source sends, and a replicated target takes p - 1 copies.
+index_t brute_force_cost(const Layout& from, const Layout& to,
+                         pc::Communicator& comm) {
+  index_t moving = 0;
+  for (index_t l = 0; l < from.dist.local_count(); ++l) {
+    const auto g = from.dist.global_of_local(l);
+    if (from.dist.owner_of(g).first != comm.rank()) continue;
+    if (to.replicated) {
+      moving += comm.size() - 1;
+    } else if (to.dist.owner_of(g).first != comm.rank()) {
+      ++moving;
+    }
+  }
+  return comm.allreduce_value(moving, std::plus<index_t>{});
+}
+
+void check_every_pair(const std::vector<Layout>& layouts,
+                      pc::Communicator& comm) {
+  const od::Shape& shape = layouts.front().dist.global_shape();
+  auto va = [&](const std::vector<index_t>& g) {
+    return static_cast<double>(linear_of(shape, g) + 1);
+  };
+  auto vb = [&](const std::vector<index_t>& g) {
+    return 2.0 * static_cast<double>(linear_of(shape, g)) + 0.25;
+  };
+  for (const auto& from : layouts) {
+    const Arr a = Arr::fromfunction(from.dist, va);
+    for (const auto& to : layouts) {
+      const std::string pair = shape.to_string() + " " + from.name + " -> " +
+                               to.name;
+      const Arr moved = od::redistribute(a, to.dist);
+      ASSERT_EQ(moved.local_size(), to.dist.local_count()) << pair;
+      int wrong = 0;
+      for (index_t l = 0; l < moved.local_size(); ++l) {
+        const double want = va(to.dist.global_of_local(l));
+        wrong += moved.local_view()[static_cast<std::size_t>(l)] != want;
+      }
+      EXPECT_EQ(wrong, 0) << pair << " on rank " << comm.rank();
+      EXPECT_EQ(od::redistribution_cost(a, to.dist),
+                brute_force_cost(from, to, comm))
+          << pair;
+      const Arr b = Arr::fromfunction(to.dist, vb);
+      const auto sum = (a + b).gather();
+      wrong = 0;
+      for (index_t lin = 0; lin < shape.count(); ++lin) {
+        const auto g = shape.delinearize(lin);
+        wrong += sum[static_cast<std::size_t>(lin)] != va(g) + vb(g);
+      }
+      EXPECT_EQ(wrong, 0) << pair << " (a + b under kAuto)";
+    }
+  }
+}
+}  // namespace
+
+class RedistributePairs : public ::testing::TestWithParam<int> {};
+INSTANTIATE_TEST_SUITE_P(Ranks, RedistributePairs,
+                         ::testing::Values(1, 2, 3, 4, 6));
+
+TEST_P(RedistributePairs, MovesCostsAndSumsMatchSerial) {
+  pc::run(GetParam(), [](pc::Communicator& comm) {
+    ASSERT_EQ(od::default_conform_strategy(), od::ConformStrategy::kAuto);
+    for (const index_t n : {5, 29}) check_every_pair(layouts_1d(comm, n), comm);
+    check_every_pair(layouts_2d(comm), comm);
+    check_every_pair(layouts_3d(comm), comm);
   });
 }
 
