@@ -1,7 +1,7 @@
-// PR3 — collective algorithm comparison: the root-funneled flat reference
+// Collective algorithm comparison: the root-funneled flat reference
 // schedules (CollectiveAlgo::kLinear) against the scalable schedules kAuto
-// resolves to (Rabenseifner allreduce, ring allgather, pairwise alltoallv)
-// at 8 ranks with large payloads.
+// resolves to (Rabenseifner allreduce, ring allgather) at 8 ranks with
+// large payloads, plus the linear alltoallv on its own.
 //
 // The headline counters are rank 0's view, because rank 0 is where the
 // linear schedules concentrate traffic:
@@ -11,8 +11,9 @@
 //    any algorithm, but the gather+broadcast reference makes rank 0
 //    retransmit the whole p*n concatenation to every rank, so root sent
 //    bytes drop 8x and root total traffic 4.5x;
-//  - alltoallv: already balanced in bytes; the pairwise schedule removes
-//    the rank-ordered receive ladder (latency, not volume).
+//  - alltoallv: already balanced in bytes, and its one (linear, zero-copy)
+//    schedule is the reference. A pairwise-exchange schedule measured no
+//    faster at this size (EXPERIMENTS.md) and was removed.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -74,16 +75,16 @@ RootStats run_allgather(CollectiveAlgo algo) {
   return root;
 }
 
-RootStats run_alltoallv(CollectiveAlgo algo) {
+RootStats run_alltoallv() {
   RootStats root;
-  pc::run(kRanks, [&root, algo](pc::Communicator& comm) {
+  pc::run(kRanks, [&root](pc::Communicator& comm) {
     std::vector<std::vector<double>> parts(kRanks);
     for (int dst = 0; dst < kRanks; ++dst) {
       parts[static_cast<std::size_t>(dst)].assign(
           kElems / kRanks, static_cast<double>(comm.rank() * kRanks + dst));
     }
     comm.stats().reset();
-    auto got = comm.alltoallv(parts, algo);
+    auto got = comm.alltoallv(std::move(parts));
     benchmark::DoNotOptimize(got.data());
     if (comm.rank() == 0) {
       root.recv_bytes = comm.stats().coll_bytes_received;
@@ -123,17 +124,10 @@ BENCHMARK(BM_AllgatherAutoRing)->UseRealTime()->MinTime(0.5);
 
 void BM_AlltoallvLinearBaseline(benchmark::State& state) {
   RootStats root;
-  for (auto _ : state) root = run_alltoallv(CollectiveAlgo::kLinear);
+  for (auto _ : state) root = run_alltoallv();
   report(state, root);
 }
 BENCHMARK(BM_AlltoallvLinearBaseline)->UseRealTime()->MinTime(0.5);
-
-void BM_AlltoallvPairwise(benchmark::State& state) {
-  RootStats root;
-  for (auto _ : state) root = run_alltoallv(CollectiveAlgo::kPairwise);
-  report(state, root);
-}
-BENCHMARK(BM_AlltoallvPairwise)->UseRealTime()->MinTime(0.5);
 
 }  // namespace
 

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
         outgoing[static_cast<std::size_t>(owner)].push_back(
             Entry{lidx, inner_view[static_cast<std::size_t>(l)]});
       }
-      auto incoming = comm.alltoallv(outgoing);
+      auto incoming = comm.alltoallv(std::move(outgoing));
       auto uv = u.local_view();
       for (const auto& part : incoming) {
         for (const auto& e : part) {

@@ -11,8 +11,7 @@
 namespace pyhpc::comm {
 
 Context::Context(int nranks, CommConfig config)
-    : config_(std::move(config)),
-      arena_(config_.arena_block_bytes, config_.arena_max_blocks) {
+    : config_(std::move(config)) {
   require(nranks >= 1, "Context: need at least one rank");
   mailboxes_.reserve(static_cast<std::size_t>(nranks));
   for (int i = 0; i < nranks; ++i) {

@@ -1,5 +1,5 @@
 // Shared state for one communicator "world": the mailboxes of every rank,
-// the abort flag, per-rank stats, the communication policy (CommConfig),
+// the abort flag, per-rank stats, the world settings (CommConfig),
 // failure-containment state (killed ranks, deadlock report), and a registry
 // used to hand sub-contexts from the creating rank to the other members
 // during split().

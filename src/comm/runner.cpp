@@ -182,7 +182,7 @@ CommStats run_impl(int nranks, const CommConfig& config,
 
   WatchdogControl watchdog_control;
   std::thread watchdog;
-  if (config.watchdog && nranks >= 2) {
+  if (nranks >= 2) {
     watchdog = std::thread(watchdog_loop, ctx, std::ref(watchdog_control));
   }
 

@@ -17,15 +17,14 @@ namespace pyhpc::comm {
 /// of RankKilledError (fault injection), which is contained: that rank
 /// simply stops and the rest of the world keeps running.
 ///
-/// Unless disabled via CommConfig, a watchdog thread observes per-rank
-/// blocked state and aborts the world with a who-waits-on-whom
-/// DeadlockError once every live rank is blocked (without a deadline) and
-/// nothing is in flight, so a wedged program fails loudly instead of
-/// hanging forever.
+/// With two or more ranks, a watchdog thread observes per-rank blocked
+/// state and aborts the world with a who-waits-on-whom DeadlockError once
+/// every live rank is blocked (without a deadline) and nothing is in
+/// flight, so a wedged program fails loudly instead of hanging forever.
 void run(int nranks, const std::function<void(Communicator&)>& fn);
 
-/// As `run`, with an explicit communication policy (receive deadlines,
-/// watchdog tuning, fault injection).
+/// As `run`, with explicit world settings (receive deadline, watchdog
+/// period, pool width, fault injection, eager threshold).
 void run(int nranks, const CommConfig& config,
          const std::function<void(Communicator&)>& fn);
 

@@ -64,7 +64,6 @@ struct CommStats {
   std::uint64_t algo_ring = 0;
   std::uint64_t algo_bruck = 0;
   std::uint64_t algo_binomial = 0;
-  std::uint64_t algo_pairwise = 0;
 
   std::uint64_t total_messages_sent() const {
     return p2p_messages_sent + coll_messages_sent;
@@ -104,7 +103,6 @@ struct CommStats {
     algo_ring += o.algo_ring;
     algo_bruck += o.algo_bruck;
     algo_binomial += o.algo_binomial;
-    algo_pairwise += o.algo_pairwise;
     return *this;
   }
 

@@ -45,7 +45,7 @@ Matrix transpose(const Matrix& a) {
     require<MapError>(owner >= 0, "transpose: column index owned by no rank");
     outgoing[static_cast<std::size_t>(owner)].push_back(mine[k]);
   }
-  auto incoming = comm.alltoallv(outgoing);
+  auto incoming = comm.alltoallv(std::move(outgoing));
 
   Matrix at(map);
   for (const auto& part : incoming) {

@@ -159,7 +159,7 @@ Matrix rebalance_matrix(const Matrix& a, const Map& target) {
           Triple{my_rows[static_cast<std::size_t>(i)], c, v});
     }
   }
-  auto incoming = comm.alltoallv(outgoing);
+  auto incoming = comm.alltoallv(std::move(outgoing));
   Matrix out(target);
   for (const auto& part : incoming) {
     for (const auto& t : part) {

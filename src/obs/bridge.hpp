@@ -64,7 +64,6 @@ inline void import_comm_stats(MetricsRegistry& reg,
   reg.add(prefix + ".algo_ring", static_cast<double>(s.algo_ring));
   reg.add(prefix + ".algo_bruck", static_cast<double>(s.algo_bruck));
   reg.add(prefix + ".algo_binomial", static_cast<double>(s.algo_binomial));
-  reg.add(prefix + ".algo_pairwise", static_cast<double>(s.algo_pairwise));
 }
 
 /// Folds injected-fault totals into `reg` under `<prefix>.*` (counters).

@@ -12,6 +12,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -310,12 +311,11 @@ class DistArray {
     const auto strides = shape().strides();
     std::vector<Entry> mine;
     mine.reserve(data_.size());
-    for (index_t l = 0; l < local_size(); ++l) {
-      const auto gidx = dist_->global_of_local(l);
+    for_each_global([&](std::size_t l, const std::vector<index_t>& gidx) {
       index_t lin = 0;
       for (std::size_t a = 0; a < gidx.size(); ++a) lin += gidx[a] * strides[a];
-      mine.push_back(Entry{lin, data_[static_cast<std::size_t>(l)]});
-    }
+      mine.push_back(Entry{lin, data_[l]});
+    });
     auto chunks = dist_->comm().allgatherv(std::span<const Entry>(mine));
     std::vector<T> out(static_cast<std::size_t>(size()), T{});
     for (const auto& chunk : chunks) {
@@ -342,18 +342,19 @@ class DistArray {
     return out;
   }
 
-  /// Stores f(global multi-index) into every local element, walking the
-  /// local elements in order with an odometer over the per-axis global
-  /// indices: one index vector, updated only on the axes that move.
+  /// Calls f(l, global multi-index) for every local element l in local
+  /// order, walking an odometer over the per-axis global indices: one
+  /// index vector, updated only on the axes that move, so nothing is
+  /// allocated per element.
   template <class F>
-  void fill_from_global(F&& f) {
+  void for_each_global(F&& f) const {
     if (data_.empty()) return;
     const auto axes = dist_->local_axis_globals();
     std::vector<index_t> gidx(axes.size());
     std::vector<std::size_t> lidx(axes.size(), 0);
     for (std::size_t a = 0; a < axes.size(); ++a) gidx[a] = axes[a][0];
-    for (auto& x : data_) {
-      x = f(gidx);
+    for (std::size_t l = 0; l < data_.size(); ++l) {
+      f(l, std::as_const(gidx));
       for (std::size_t a = axes.size(); a-- > 0;) {
         if (++lidx[a] < axes[a].size()) {
           gidx[a] = axes[a][lidx[a]];
@@ -365,6 +366,14 @@ class DistArray {
     }
   }
 
+  /// Stores f(global multi-index) into every local element.
+  template <class F>
+  void fill_from_global(F&& f) {
+    for_each_global([&](std::size_t l, const std::vector<index_t>& gidx) {
+      data_[l] = f(gidx);
+    });
+  }
+
   std::vector<index_t> arg_extreme(bool want_min) const {
     struct Best {
       T value;
@@ -374,18 +383,14 @@ class DistArray {
     Best best{want_min ? std::numeric_limits<T>::max()
                        : std::numeric_limits<T>::lowest(),
               std::numeric_limits<index_t>::max()};
-    for (index_t l = 0; l < local_size(); ++l) {
-      const T v = data_[static_cast<std::size_t>(l)];
+    for_each_global([&](std::size_t l, const std::vector<index_t>& gidx) {
+      const T v = data_[l];
       const bool better = want_min ? v < best.value : v > best.value;
-      if (better) {
-        const auto gidx = dist_->global_of_local(l);
-        index_t lin = 0;
-        for (std::size_t a = 0; a < gidx.size(); ++a) {
-          lin += gidx[a] * strides[a];
-        }
-        best = Best{v, lin};
-      }
-    }
+      if (!better) return;
+      index_t lin = 0;
+      for (std::size_t a = 0; a < gidx.size(); ++a) lin += gidx[a] * strides[a];
+      best = Best{v, lin};
+    });
     auto all = dist_->comm().allgather_value(best);
     Best global = all.front();
     for (const auto& b : all) {
@@ -407,13 +412,12 @@ class DistArray {
   std::vector<T, util::DefaultInitAllocator<T>> data_;
 };
 
-/// Moves an array onto a new distribution of the same global shape over a
-/// communicator of the same size. Collective: one zero-copy alltoallv
-/// that carries values only (the linear schedule, like tpetra
-/// Import/Export; CommConfig::coll.alltoall does not apply). Each rank
-/// sends its elements to their owners under `target` in local order (only
-/// the canonical copy of a fully replicated source sends; a fully
-/// replicated target receives every element on every rank). Each
+/// Moves an array onto a new distribution of the same global shape over
+/// the same communicator. Collective: one zero-copy alltoallv that
+/// carries values only (the linear schedule, like tpetra Import/Export).
+/// Each rank sends its elements to their owners under `target` in local
+/// order (only the canonical copy of a fully replicated source sends; a
+/// fully replicated target receives every element on every rank). Each
 /// receiver runs the plan the other way,
 /// redistribution_targets(target, from), to learn the source of each of
 /// its elements, and — local order rising with global index on both sides

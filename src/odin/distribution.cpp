@@ -324,9 +324,10 @@ std::vector<int> redistribution_targets(const Distribution& from,
   require<ShapeError>(from.global_shape() == to.global_shape(),
                       "redistribution: global shapes differ: ",
                       from.global_shape(), " vs ", to.global_shape());
-  require(from.num_ranks() == to.num_ranks(),
-          "redistribution: the source spans ", from.num_ranks(),
-          " ranks but the target spans ", to.num_ranks());
+  require(from.comm().shares_context(to.comm()),
+          "redistribution: the source layout (", from.num_ranks(),
+          " ranks) and the target layout (", to.num_ranks(),
+          " ranks) are over different communicators");
   // Per axis, the share of the target rank that each local coordinate
   // fixes: its owning grid coordinate under `to` times that grid
   // dimension's rank stride (0 on an axis `to` does not distribute).

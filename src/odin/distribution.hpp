@@ -81,11 +81,12 @@ class Distribution {
     return specs_[static_cast<std::size_t>(axis)];
   }
 
-  /// Same layout on every axis (and same shape): element-wise operations
-  /// need no communication — the paper's "conformable" condition.
+  /// Same layout on every axis (and same shape) over the same
+  /// communicator: element-wise operations need no communication — the
+  /// paper's "conformable" condition.
   bool conformable(const Distribution& other) const {
     return shape_ == other.shape_ && specs_ == other.specs_ &&
-           grid_ == other.grid_;
+           grid_ == other.grid_ && comm_->shares_context(*other.comm_);
   }
 
   /// Local extents on this rank.
@@ -175,12 +176,12 @@ class Distribution {
 /// per local coordinate of each axis, then an odometer over the local
 /// elements — so nothing is allocated per element. Local: no
 /// communication. Throws ShapeError when the global shapes differ and
-/// InvalidArgument when the communicators differ in size. When each
-/// communicator has one size on every rank, that check fails on every
-/// rank alike, so a collective caller fails before its first message.
-/// Communicators whose size varies by rank (`from` and `to` over
-/// different splits) or that order the same ranks differently are not
-/// detected: that needs a communicator congruence check.
+/// InvalidArgument when the layouts are over different communicators
+/// (Communicator::shares_context): the plan numbers targets in `to`'s
+/// communicator while redistribute moves values over `from`'s, so the
+/// two must be one world. Every split, duplicate or shrink makes a new
+/// world on every rank it includes, so the check fails on every rank
+/// alike and a collective caller fails before its first message.
 ///
 /// Invariant the receiving side of redistribute relies on: in every
 /// scheme, local order along an axis rises with global index, so a rank's

@@ -88,7 +88,7 @@ DistArray<T> reduce_axis(const DistArray<T>& a, int axis, Op op, T init) {
     const auto [owner, lidx] = out_dist.owner_of(out_gidx);
     outgoing[static_cast<std::size_t>(owner)].push_back(Partial{lidx, value});
   }
-  auto incoming = comm.alltoallv(outgoing);
+  auto incoming = comm.alltoallv(std::move(outgoing));
 
   DistArray<T> out(out_dist, init);
   auto view = out.local_view();

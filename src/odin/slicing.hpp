@@ -77,8 +77,8 @@ DistArray<T> slice(const DistArray<T>& a, const std::vector<Slice>& slices) {
     out_values[static_cast<std::size_t>(owner)].push_back(
         a.local_view()[static_cast<std::size_t>(l)]);
   }
-  auto in_indices = comm.alltoallv(out_indices);
-  auto in_values = comm.alltoallv(out_values);
+  auto in_indices = comm.alltoallv(std::move(out_indices));
+  auto in_values = comm.alltoallv(std::move(out_values));
 
   DistArray<T> out(out_dist);
   auto view = out.local_view();

@@ -87,7 +87,7 @@ class DistTable {
                    before + static_cast<std::int64_t>(i)))]
           .push_back(rows_[i]);
     }
-    auto incoming = comm_->alltoallv(outgoing);
+    auto incoming = comm_->alltoallv(std::move(outgoing));
     std::vector<Record> mine;
     for (auto& part : incoming) {
       mine.insert(mine.end(), part.begin(), part.end());
@@ -135,7 +135,7 @@ std::vector<std::pair<Key, Value>> map_reduce(const DistTable<Record>& table,
     const int dest = static_cast<int>(hasher(key) % static_cast<std::size_t>(p));
     outgoing[static_cast<std::size_t>(dest)].push_back(KV{key, value});
   }
-  auto incoming = comm.alltoallv(outgoing);
+  auto incoming = comm.alltoallv(std::move(outgoing));
 
   std::map<Key, Value> folded;
   for (const auto& part : incoming) {

@@ -294,7 +294,7 @@ std::shared_ptr<Matrix> AmgPreconditioner::build_transfer_and_coarse(
     requests[static_cast<std::size_t>(owners[k].first)].push_back(
         ghost_gids[k]);
   }
-  auto incoming_requests = comm.alltoallv(requests);
+  auto incoming_requests = comm.alltoallv(std::move(requests));
 
   struct PEntry {
     GO fine;
@@ -313,7 +313,7 @@ std::shared_ptr<Matrix> AmgPreconditioner::build_transfer_and_coarse(
       }
     }
   }
-  auto incoming_rows = comm.alltoallv(replies);
+  auto incoming_rows = comm.alltoallv(std::move(replies));
 
   // Coarse columns of A P: the referenced gids plus those only ghost P rows
   // reach, sorted. Local P rows map in through ext_of_ref; ghost P rows are
@@ -382,7 +382,7 @@ std::shared_ptr<Matrix> AmgPreconditioner::build_transfer_and_coarse(
       out.push_back(Triple{row, ext[c], v});
     });
   }
-  auto incoming_triples = comm.alltoallv(outgoing);
+  auto incoming_triples = comm.alltoallv(std::move(outgoing));
 
   auto coarse = std::make_shared<Matrix>(cmap);
   std::vector<GO> cols;

@@ -1,5 +1,6 @@
 #include "seamless/value.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/string_util.hpp"
@@ -34,6 +35,21 @@ std::int64_t pymod(std::int64_t a, std::int64_t b, int line) {
   std::int64_t m = a % b;
   if (m != 0 && ((a < 0) != (b < 0))) m += b;
   return m;
+}
+
+// A list that contains itself prints as [...] where it recurs, as in
+// Python: `path` holds the lists between the outermost value and this one.
+std::string list_repr(const ListValue& list,
+                      std::vector<const ListValue*>& path) {
+  if (std::find(path.begin(), path.end(), &list) != path.end()) return "[...]";
+  path.push_back(&list);
+  std::vector<std::string> parts;
+  for (const auto& item : list.items) {
+    parts.push_back(item.is_list() ? list_repr(*item.as_list(), path)
+                                   : item.repr());
+  }
+  path.pop_back();
+  return "[" + util::join(parts, ", ") + "]";
 }
 
 }  // namespace
@@ -84,9 +100,8 @@ std::string Value::repr() const {
   if (is_float()) return std::to_string(as_float());
   if (is_string()) return "'" + as_string() + "'";
   if (is_list()) {
-    std::vector<std::string> parts;
-    for (const auto& item : as_list()->items) parts.push_back(item.repr());
-    return "[" + util::join(parts, ", ") + "]";
+    std::vector<const ListValue*> path;
+    return list_repr(*as_list(), path);
   }
   if (is_array()) {
     return util::cat("array(n=", as_array()->size, ")");

@@ -301,7 +301,7 @@ std::vector<std::pair<int, LO>> Map<LO, GO>::remote_index_list(
     reg[static_cast<std::size_t>(dir_rank_of(g))].push_back(
         DirEntry{g, static_cast<LO>(i), c.rank()});
   }
-  auto arrived = c.alltoallv(reg);
+  auto arrived = c.alltoallv(std::move(reg));
   // Directory table for my slice. Overlapping maps register a gid from
   // several ranks; the lowest registering rank wins (deterministic).
   std::unordered_map<GO, std::pair<int, LO>> table;
@@ -325,7 +325,7 @@ std::vector<std::pair<int, LO>> Map<LO, GO>::remote_index_list(
     queries[static_cast<std::size_t>(dir_rank_of(gids[i]))].push_back(
         Query{gids[i], static_cast<std::int64_t>(i)});
   }
-  auto incoming = c.alltoallv(queries);
+  auto incoming = c.alltoallv(std::move(queries));
 
   struct Answer {
     std::int64_t slot;
@@ -344,7 +344,7 @@ std::vector<std::pair<int, LO>> Map<LO, GO>::remote_index_list(
       answers[static_cast<std::size_t>(src)].push_back(a);
     }
   }
-  auto replies = c.alltoallv(answers);
+  auto replies = c.alltoallv(std::move(answers));
   for (const auto& part : replies) {
     for (const auto& a : part) {
       out[static_cast<std::size_t>(a.slot)] = {a.owner, a.lid};

@@ -4,14 +4,12 @@
 // workspace; what remains is per-message comm traffic), and so do ODIN's
 // redistribution plan and move, owner lookups and fromfunction. Counting
 // replaces the global operator new, which is why these tests have their
-// own binary.
+// own binary (the counting operator new lives in alloc_hooks.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
-#include <new>
 #include <numeric>
 #include <vector>
 
@@ -27,22 +25,10 @@ namespace pp = pyhpc::precond;
 
 using GO = std::int64_t;
 
-namespace {
-// Allocations made by the calling thread. Per thread, so each rank (a
-// thread) counts only its own work, not its peers' or the watchdog's.
-thread_local std::size_t t_allocations = 0;
-}  // namespace
-
-void* operator new(std::size_t n) {
-  ++t_allocations;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Allocations made by the calling thread, counted by the replacement
+// operator new in alloc_hooks.cpp. Per thread, so each rank (a thread)
+// counts only its own work, not its peers' or the watchdog's.
+extern thread_local std::size_t t_allocations;
 
 namespace {
 gl::Map strided_map(pc::Communicator& comm, GO n) {
@@ -145,6 +131,38 @@ TEST_P(RedistributeAlloc, PlanAndMoveCountDoesNotGrowWithArraySize) {
   }
   EXPECT_EQ(per_size[0], per_size[1])
       << "block -> cyclic plan and move allocations grew from 16Ki to 64Ki";
+}
+
+class GatherAlloc : public ::testing::TestWithParam<int> {};
+INSTANTIATE_TEST_SUITE_P(Ranks, GatherAlloc, ::testing::Values(1, 3));
+
+// gather() and argmax() walk the local elements' global indices with one
+// odometer, so they allocate per message, never per element.
+TEST_P(GatherAlloc, GatherAndArgmaxCountDoesNotGrowWithArraySize) {
+  const int nranks = GetParam();
+  pc::CommConfig cfg;
+  cfg.threads = 1;
+  std::vector<std::vector<std::size_t>> per_size;
+  for (const od::index_t n : {16 * 1024, 64 * 1024}) {
+    std::vector<std::size_t> per_rank(static_cast<std::size_t>(nranks), 0);
+    pc::run(nranks, cfg, [&](pc::Communicator& comm) {
+      const auto a = od::DistArray<double>::arange(
+          od::Distribution::cyclic(comm, od::Shape{n}, 0));
+      std::size_t fewest = SIZE_MAX;
+      for (int rep = 0; rep < 10; ++rep) {
+        const std::size_t before = t_allocations;
+        const auto all = a.gather();
+        const auto at = a.argmax();
+        fewest = std::min(fewest, t_allocations - before);
+        EXPECT_EQ(all.back(), static_cast<double>(n - 1));
+        EXPECT_EQ(at[0], n - 1);
+      }
+      per_rank[static_cast<std::size_t>(comm.rank())] = fewest;
+    });
+    per_size.push_back(per_rank);
+  }
+  EXPECT_EQ(per_size[0], per_size[1])
+      << "gather/argmax allocations grew from 16Ki to 64Ki elements";
 }
 
 TEST(Alloc, OwnerLookupOnAGridAllocatesNothing) {

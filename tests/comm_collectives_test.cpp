@@ -189,11 +189,12 @@ TEST_P(CollAlgoTest, AllgathervVariableCountsPerRank) {
   }
 }
 
+// alltoall(v) keep one schedule, the linear one (a pairwise exchange
+// measured no faster); these check it under kAuto and forced kLinear.
 TEST_P(CollAlgoTest, AlltoallPairwiseMatchesReference) {
   const int p = ranks();
   const std::size_t n = count();
-  for (CollectiveAlgo algo : {CollectiveAlgo::kAuto, CollectiveAlgo::kLinear,
-                              CollectiveAlgo::kPairwise}) {
+  for (CollectiveAlgo algo : {CollectiveAlgo::kAuto, CollectiveAlgo::kLinear}) {
     pc::run(p, [&](pc::Communicator& comm) {
       const std::size_t total = n * static_cast<std::size_t>(p);
       std::vector<double> send(total), recv(total);
@@ -218,33 +219,29 @@ TEST_P(CollAlgoTest, AlltoallPairwiseMatchesReference) {
 
 TEST_P(CollAlgoTest, AlltoallvPairwiseVariableParts) {
   const int p = ranks();
-  for (CollectiveAlgo algo : {CollectiveAlgo::kAuto, CollectiveAlgo::kLinear,
-                              CollectiveAlgo::kPairwise}) {
-    pc::run(p, [&](pc::Communicator& comm) {
-      // Part (me -> dst) has (me + dst) % 3 elements.
-      std::vector<std::vector<double>> send(static_cast<std::size_t>(p));
-      for (int dst = 0; dst < p; ++dst) {
-        const int cnt = (comm.rank() + dst) % 3;
-        for (int i = 0; i < cnt; ++i) {
-          send[static_cast<std::size_t>(dst)].push_back(
-              element(comm.rank(), static_cast<std::size_t>(i)) + dst);
-        }
+  const std::size_t base = count();
+  pc::run(p, [&](pc::Communicator& comm) {
+    // Part (me -> dst) has base + (me + dst) % 3 elements.
+    auto cnt = [base](int src, int dst) {
+      return base + static_cast<std::size_t>((src + dst) % 3);
+    };
+    std::vector<std::vector<double>> send(static_cast<std::size_t>(p));
+    for (int dst = 0; dst < p; ++dst) {
+      for (std::size_t i = 0; i < cnt(comm.rank(), dst); ++i) {
+        send[static_cast<std::size_t>(dst)].push_back(
+            element(comm.rank(), i) + dst);
       }
-      auto recv = comm.alltoallv(send, algo);
-      ASSERT_EQ(recv.size(), static_cast<std::size_t>(p));
-      for (int src = 0; src < p; ++src) {
-        const int cnt = (src + comm.rank()) % 3;
-        ASSERT_EQ(recv[static_cast<std::size_t>(src)].size(),
-                  static_cast<std::size_t>(cnt))
-            << "algo " << pc::collective_algo_name(algo);
-        for (int i = 0; i < cnt; ++i) {
-          EXPECT_EQ(recv[static_cast<std::size_t>(src)]
-                        [static_cast<std::size_t>(i)],
-                    element(src, static_cast<std::size_t>(i)) + comm.rank());
-        }
+    }
+    auto recv = comm.alltoallv(std::move(send));
+    ASSERT_EQ(recv.size(), static_cast<std::size_t>(p));
+    for (int src = 0; src < p; ++src) {
+      const auto& part = recv[static_cast<std::size_t>(src)];
+      ASSERT_EQ(part.size(), cnt(src, comm.rank()));
+      for (std::size_t i = 0; i < part.size(); ++i) {
+        EXPECT_EQ(part[i], element(src, i) + comm.rank());
       }
-    });
-  }
+    }
+  });
 }
 
 // Long mixed sequence at an awkward rank count: exercises the collective
@@ -301,21 +298,15 @@ TEST(CollPolicy, AutoSelectionFollowsSizeThresholds) {
   });
 }
 
+// There is no per-world policy any more: kLinear is forced per call.
 TEST(CollPolicy, ConfigForcesLinearEverywhere) {
-  pc::CommConfig config;
-  config.coll.allreduce = CollectiveAlgo::kLinear;
-  config.coll.allgather = CollectiveAlgo::kLinear;
-  config.coll.gather = CollectiveAlgo::kLinear;
-  config.coll.scatter = CollectiveAlgo::kLinear;
-  config.coll.alltoall = CollectiveAlgo::kLinear;
-  pc::run(4, config, [](pc::Communicator& comm) {
+  pc::run(4, [](pc::Communicator& comm) {
     comm.stats().reset();
     std::vector<double> big(1024, 1.0), out(1024);
     comm.allreduce(std::span<const double>(big), std::span<double>(out),
-                   std::plus<double>{});
-    (void)comm.allgather(std::span<const double>(big));
-    std::vector<std::vector<int>> parts(4);
-    (void)comm.alltoallv(parts);
+                   std::plus<double>{}, CollectiveAlgo::kLinear);
+    (void)comm.allgather(std::span<const double>(big), CollectiveAlgo::kLinear);
+    (void)comm.alltoallv(std::vector<std::vector<int>>(4));
     // 8, not 3: the linear composites book their nested stages too —
     // allreduce = itself + flat reduce + flat broadcast (3), allgather =
     // itself + gather + count broadcast + payload broadcast (4),
@@ -323,7 +314,6 @@ TEST(CollPolicy, ConfigForcesLinearEverywhere) {
     EXPECT_EQ(comm.stats().algo_linear, 8u);
     EXPECT_EQ(comm.stats().algo_rabenseifner, 0u);
     EXPECT_EQ(comm.stats().algo_ring, 0u);
-    EXPECT_EQ(comm.stats().algo_pairwise, 0u);
   });
 }
 
@@ -375,5 +365,245 @@ TEST(CollBarrier, BarrierCompletesAtAllRankCounts) {
       for (int i = 0; i < 5; ++i) comm.barrier();
       EXPECT_EQ(comm.stats().collectives, 5u);
     });
+  }
+}
+
+// ---- byte-level core over odd element sizes --------------------------------
+// The collective core moves bytes and folds elements through one callback,
+// so element size matters wherever a schedule splits a buffer (Rabenseifner
+// chunks, gather/scatter blocks, alltoall slots). These run every
+// collective over 1-, 3- and 24-byte elements against a serial reference.
+
+namespace {
+
+struct [[gnu::packed]] Packed3 {
+  std::uint8_t lo;
+  std::uint16_t hi;
+};
+static_assert(sizeof(Packed3) == 3);
+bool operator==(const Packed3& x, const Packed3& y) {
+  return x.lo == y.lo && x.hi == y.hi;
+}
+
+struct Wide24 {
+  std::int64_t a, b, c;
+};
+static_assert(sizeof(Wide24) == 24);
+bool operator==(const Wide24& x, const Wide24& y) {
+  return x.a == y.a && x.b == y.b && x.c == y.c;
+}
+
+// Per type: a value for (rank, index) and an exact (integer, wrapping)
+// associative and commutative sum, so any schedule matches the reference.
+template <class T>
+struct Elem;
+template <>
+struct Elem<std::uint8_t> {
+  static std::uint8_t make(int r, std::size_t i) {
+    return static_cast<std::uint8_t>(31 * r + 7 * static_cast<int>(i) + 1);
+  }
+  static std::uint8_t add(std::uint8_t x, std::uint8_t y) {
+    return static_cast<std::uint8_t>(x + y);
+  }
+};
+template <>
+struct Elem<Packed3> {
+  static Packed3 make(int r, std::size_t i) {
+    return Packed3{static_cast<std::uint8_t>(r + static_cast<int>(i)),
+                   static_cast<std::uint16_t>(1000 * r + 3 * i)};
+  }
+  static Packed3 add(Packed3 x, Packed3 y) {
+    return Packed3{static_cast<std::uint8_t>(x.lo + y.lo),
+                   static_cast<std::uint16_t>(x.hi + y.hi)};
+  }
+};
+template <>
+struct Elem<Wide24> {
+  static Wide24 make(int r, std::size_t i) {
+    const auto k = static_cast<std::int64_t>(i);
+    return Wide24{r * 100000 + k, -k, r - 3 * k};
+  }
+  static Wide24 add(Wide24 x, Wide24 y) {
+    return Wide24{x.a + y.a, x.b + y.b, x.c + y.c};
+  }
+};
+
+const std::vector<int> kByteRanks{1, 3, 4, 7};
+// 1500 elements clear the 4096-byte kAuto switch for 3- and 24-byte
+// elements but not for 1-byte ones.
+const std::vector<std::size_t> kByteCounts{0, 5, 1500};
+
+template <class T>
+std::vector<T> block_of(int r, std::size_t n) {
+  std::vector<T> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = Elem<T>::make(r, i);
+  return v;
+}
+
+template <class T>
+std::vector<T> sum_over_ranks(int p, std::size_t n) {
+  std::vector<T> sum = block_of<T>(0, n);
+  for (int r = 1; r < p; ++r) {
+    for (std::size_t i = 0; i < n; ++i) {
+      sum[i] = Elem<T>::add(sum[i], Elem<T>::make(r, i));
+    }
+  }
+  return sum;
+}
+
+template <class T>
+class ByteCore : public ::testing::Test {};
+using ElementTypes = ::testing::Types<std::uint8_t, Packed3, Wide24>;
+TYPED_TEST_SUITE(ByteCore, ElementTypes);
+
+}  // namespace
+
+TYPED_TEST(ByteCore, ReductionsAndScansMatchSerialReference) {
+  using T = TypeParam;
+  const auto add = [](T x, T y) { return Elem<T>::add(x, y); };
+  for (int p : kByteRanks) {
+    for (std::size_t n : kByteCounts) {
+      const auto expect = sum_over_ranks<T>(p, n);
+      pc::run(p, [&](pc::Communicator& comm) {
+        const auto mine = block_of<T>(comm.rank(), n);
+        for (CollectiveAlgo algo :
+             {CollectiveAlgo::kAuto, CollectiveAlgo::kLinear,
+              CollectiveAlgo::kRecursiveDoubling,
+              CollectiveAlgo::kRabenseifner}) {
+          std::vector<T> got(n);
+          comm.allreduce(std::span<const T>(mine), std::span<T>(got), add,
+                         algo);
+          EXPECT_EQ(got, expect) << "allreduce p=" << p << " n=" << n
+                                 << " " << pc::collective_algo_name(algo);
+        }
+        std::vector<T> nb(n);
+        auto fut = comm.iallreduce(std::span<const T>(mine),
+                                   std::span<T>(nb), add);
+        fut.wait();
+        EXPECT_EQ(nb, expect) << "iallreduce p=" << p << " n=" << n;
+        for (CollectiveAlgo algo :
+             {CollectiveAlgo::kAuto, CollectiveAlgo::kLinear}) {
+          const int root = p - 1;
+          std::vector<T> got(comm.rank() == root ? n : 0);
+          comm.reduce(std::span<const T>(mine), std::span<T>(got), add, root,
+                      algo);
+          if (comm.rank() == root) {
+            EXPECT_EQ(got, expect);
+          }
+        }
+        const T inc = comm.scan_inclusive(Elem<T>::make(comm.rank(), n), add);
+        const T exc = comm.scan_exclusive(Elem<T>::make(comm.rank(), n), add,
+                                          Elem<T>::make(-1, 0));
+        T prefix = Elem<T>::make(0, n);
+        for (int r = 1; r <= comm.rank(); ++r) {
+          prefix = Elem<T>::add(prefix, Elem<T>::make(r, n));
+        }
+        EXPECT_EQ(inc, prefix);
+        if (comm.rank() == 0) {
+          EXPECT_EQ(exc, Elem<T>::make(-1, 0));
+        } else {
+          EXPECT_EQ(Elem<T>::add(exc, Elem<T>::make(comm.rank(), n)), prefix);
+        }
+      });
+    }
+  }
+}
+
+TYPED_TEST(ByteCore, FixedSizeMovesMatchSerialReference) {
+  using T = TypeParam;
+  for (int p : kByteRanks) {
+    for (std::size_t n : kByteCounts) {
+      std::vector<T> concat;
+      for (int r = 0; r < p; ++r) {
+        const auto b = block_of<T>(r, n);
+        concat.insert(concat.end(), b.begin(), b.end());
+      }
+      pc::run(p, [&](pc::Communicator& comm) {
+        const int me = comm.rank();
+        const auto mine = block_of<T>(me, n);
+        comm.barrier();
+        for (CollectiveAlgo algo :
+             {CollectiveAlgo::kAuto, CollectiveAlgo::kLinear}) {
+          const int root = p / 2;
+          auto data = me == root ? block_of<T>(root, n) : std::vector<T>(n);
+          comm.broadcast(std::span<T>(data), root, algo);
+          EXPECT_EQ(data, block_of<T>(root, n));
+
+          std::vector<T> all;
+          comm.gather(std::span<const T>(mine), all, p - 1, algo);
+          if (me == p - 1) {
+            EXPECT_EQ(all, concat);
+          }
+
+          std::vector<T> part(n);
+          comm.scatter(std::span<const T>(concat), std::span<T>(part), root,
+                       algo);
+          EXPECT_EQ(part, mine);
+
+          std::vector<T> send(n * static_cast<std::size_t>(p));
+          std::vector<T> recv(send.size());
+          for (std::size_t i = 0; i < send.size(); ++i) {
+            send[i] = Elem<T>::make(me, i);
+          }
+          comm.alltoall(std::span<const T>(send), std::span<T>(recv), algo);
+          for (int src = 0; src < p; ++src) {
+            for (std::size_t i = 0; i < n; ++i) {
+              EXPECT_EQ(recv[static_cast<std::size_t>(src) * n + i],
+                        Elem<T>::make(src, static_cast<std::size_t>(me) * n + i));
+            }
+          }
+        }
+        for (CollectiveAlgo algo :
+             {CollectiveAlgo::kAuto, CollectiveAlgo::kLinear,
+              CollectiveAlgo::kBruck, CollectiveAlgo::kRing}) {
+          EXPECT_EQ(comm.allgather(std::span<const T>(mine), algo), concat)
+              << "allgather p=" << p << " n=" << n << " "
+              << pc::collective_algo_name(algo);
+        }
+      });
+    }
+  }
+}
+
+TYPED_TEST(ByteCore, VariablePartsMatchSerialReference) {
+  using T = TypeParam;
+  // Rank r contributes n + r elements (n + src + dst for alltoallv).
+  for (int p : kByteRanks) {
+    for (std::size_t n : kByteCounts) {
+      auto len = [n](int r) { return n + static_cast<std::size_t>(r); };
+      pc::run(p, [&](pc::Communicator& comm) {
+        const int me = comm.rank();
+        const auto mine = block_of<T>(me, len(me));
+        const auto gathered = comm.gatherv(std::span<const T>(mine), 0);
+        ASSERT_EQ(gathered.size(), me == 0 ? static_cast<std::size_t>(p) : 0u);
+        for (std::size_t r = 0; r < gathered.size(); ++r) {
+          EXPECT_EQ(gathered[r], block_of<T>(static_cast<int>(r),
+                                             len(static_cast<int>(r))));
+        }
+        for (CollectiveAlgo algo :
+             {CollectiveAlgo::kAuto, CollectiveAlgo::kLinear}) {
+          const auto chunks = comm.allgatherv(std::span<const T>(mine), algo);
+          ASSERT_EQ(chunks.size(), static_cast<std::size_t>(p));
+          for (int r = 0; r < p; ++r) {
+            EXPECT_EQ(chunks[static_cast<std::size_t>(r)],
+                      block_of<T>(r, len(r)));
+          }
+        }
+        std::vector<std::vector<T>> parts;
+        if (me == p - 1) {
+          for (int r = 0; r < p; ++r) parts.push_back(block_of<T>(r, len(r)));
+        }
+        EXPECT_EQ(comm.scatterv(parts, p - 1), mine);
+        std::vector<std::vector<T>> send(static_cast<std::size_t>(p));
+        for (int dst = 0; dst < p; ++dst) {
+          send[static_cast<std::size_t>(dst)] = block_of<T>(me, len(me + dst));
+        }
+        const auto recv = comm.alltoallv(std::move(send));
+        for (int src = 0; src < p; ++src) {
+          EXPECT_EQ(recv[static_cast<std::size_t>(src)],
+                    block_of<T>(src, len(src + me)));
+        }
+      });
+    }
   }
 }

@@ -514,7 +514,7 @@ TEST_P(CollectivesTest, AlltoallvShufflesVariableParts) {
       send[static_cast<std::size_t>(d)].assign(
           static_cast<std::size_t>(comm.rank() + d), comm.rank() * 1000 + d);
     }
-    auto recv = comm.alltoallv(send);
+    auto recv = comm.alltoallv(std::move(send));
     ASSERT_EQ(recv.size(), static_cast<std::size_t>(p));
     for (int s = 0; s < p; ++s) {
       const auto& part = recv[static_cast<std::size_t>(s)];

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -609,6 +610,29 @@ TEST(Progress, IAllreduceMatchesSerialReference) {
       for (std::size_t i = 0; i < out.size(); ++i) {
         EXPECT_EQ(out[i], static_cast<std::int64_t>(i) * scale);
       }
+    });
+  }
+}
+
+// iallreduce runs allreduce's schedule, non-power-of-two fold included, so
+// floating-point sums come out bit for bit the same. (The two used to fold
+// extra ranks differently: at p = 3 these values summed to 0 blocking and
+// 1 non-blocking.)
+TEST(Progress, IAllreduceMatchesBlockingBits) {
+  const double vals[] = {1e16, 1.0, -1e16, 3.0, -7.0, 1e-3};
+  for (int p : {3, 5, 6, 7}) {
+    pc::run(p, [&](pc::Communicator& comm) {
+      const double mine = vals[comm.rank() % 6];
+      const double blocking = comm.allreduce_value(mine, std::plus<double>{});
+      double nb = 0.0;
+      auto fut = comm.iallreduce(std::span<const double>(&mine, 1),
+                                 std::span<double>(&nb, 1),
+                                 std::plus<double>{});
+      fut.wait();
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(nb),
+                std::bit_cast<std::uint64_t>(blocking))
+          << "p=" << p << ": iallreduce " << nb << " vs allreduce "
+          << blocking;
     });
   }
 }

@@ -353,6 +353,51 @@ TEST(OdinRedistribute, RejectsDistributionsOverDifferentCommunicatorSizes) {
   });
 }
 
+// Regression: the plan numbers targets in the target's communicator while
+// the move runs over the source's. Over a split that reverses rank order,
+// every element landed on the wrong rank without an error. The plan now
+// rejects layouts over different communicators on every rank.
+TEST(OdinRedistribute, RejectsCommunicatorsThatOrderRanksDifferently) {
+  pc::run(4, [](pc::Communicator& comm) {
+    auto reversed = comm.split(0, comm.size() - comm.rank());
+    ASSERT_EQ(reversed.rank(), comm.size() - 1 - comm.rank());
+    const od::Shape shape{16};
+    const Arr a = Arr::arange(od::Distribution::block(reversed, shape, 0));
+    const auto world_cyclic = od::Distribution::cyclic(comm, shape, 0);
+    const Arr b = Arr::ones(world_cyclic);
+    EXPECT_THROW((void)od::redistribute(a, world_cyclic),
+                 pyhpc::InvalidArgument);
+    EXPECT_THROW((void)od::redistribution_cost(a, world_cyclic),
+                 pyhpc::InvalidArgument);
+    EXPECT_THROW((void)(a + b), pyhpc::InvalidArgument);
+    // Even one layout over two equal worlds is not conformable.
+    const Arr c = Arr::ones(od::Distribution::block(comm, shape, 0));
+    EXPECT_THROW((void)(a + c), pyhpc::InvalidArgument);
+    EXPECT_DOUBLE_EQ(a.sum(), 120.0);
+    EXPECT_DOUBLE_EQ(b.sum(), 16.0);
+  });
+}
+
+// Regression: a source over {0,1}|{2,3,4} and a target over {0,1,2}|{3,4}
+// have equal communicator sizes on rank 2 only, so rank 2 entered the
+// alltoallv alone while the others threw. Every rank now throws.
+TEST(OdinRedistribute, RejectsLayoutsOverDifferentSplits) {
+  pc::run(5, [](pc::Communicator& comm) {
+    auto low2 = comm.split(comm.rank() < 2 ? 0 : 1, comm.rank());
+    auto low3 = comm.split(comm.rank() < 3 ? 0 : 1, comm.rank());
+    const od::Shape shape{12};
+    const Arr a = Arr::arange(od::Distribution::block(low2, shape, 0));
+    const auto target = od::Distribution::cyclic(low3, shape, 0);
+    const Arr b = Arr::ones(target);
+    EXPECT_THROW((void)od::redistribute(a, target), pyhpc::InvalidArgument);
+    EXPECT_THROW((void)od::redistribution_cost(a, target),
+                 pyhpc::InvalidArgument);
+    EXPECT_THROW((void)(a + b), pyhpc::InvalidArgument);
+    EXPECT_DOUBLE_EQ(a.sum(), 66.0);
+    EXPECT_DOUBLE_EQ(b.sum(), 12.0);
+  });
+}
+
 // E8's byte count, exactly: only the values of elements that change rank
 // cross the wire (8 B per double), and a layout that moves nothing sends
 // nothing.

@@ -396,3 +396,19 @@ TEST(Interp, ValueReprAndTruthiness) {
   EXPECT_TRUE(Value::of(std::string("x")).truthy());
   EXPECT_FALSE(Value::of(std::string("")).truthy());
 }
+
+TEST(Interp, SelfContainingListReprsLikePython) {
+  sm::Engine engine(
+      "def f():\n    xs = list(1)\n    xs[0] = xs\n    return xs\n");
+  const Value xs = engine.run_interpreted("f", {});
+  EXPECT_EQ(xs.repr(), "[[...]]");
+  // A list that merely appears twice is not a cycle.
+  auto inner = std::make_shared<sm::ListValue>();
+  inner->items = {Value::of(1)};
+  auto outer = std::make_shared<sm::ListValue>();
+  outer->items = {Value::of(inner), Value::of(inner)};
+  EXPECT_EQ(Value::of(outer).repr(), "[[1], [1]]");
+  // The list holds a reference to itself; break the cycle so the test does
+  // not leak it.
+  xs.as_list()->items.clear();
+}

@@ -174,7 +174,9 @@ TEST_P(MapRankSweep, SameAsAndCompatible) {
       for (GO g = comm.rank(); g < 48; g += comm.size()) mine.push_back(g);
       auto cyc = MapT::from_global_indices(comm, mine);
       EXPECT_TRUE(a.is_compatible(cyc));
-      if (comm.size() > 1) EXPECT_FALSE(a.is_same_as(cyc));
+      if (comm.size() > 1) {
+        EXPECT_FALSE(a.is_same_as(cyc));
+      }
     }
   });
 }
