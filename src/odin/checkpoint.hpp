@@ -12,40 +12,6 @@
 
 namespace pyhpc::odin {
 
-namespace detail {
-
-/// Row-major global linear index of a local linear offset.
-template <class T>
-inline std::int64_t global_linear(const DistArray<T>& a, index_t local) {
-  const auto g = a.dist().global_of_local(local);
-  std::int64_t lin = 0;
-  for (int d = 0; d < a.ndim(); ++d) {
-    lin = lin * static_cast<std::int64_t>(a.shape().extent(d)) +
-          static_cast<std::int64_t>(g[static_cast<std::size_t>(d)]);
-  }
-  return lin;
-}
-
-/// Invokes fn(global_start, local_start, length) for each maximal run of
-/// local elements that is contiguous in the global linear index space.
-template <class T, class Fn>
-inline void for_each_run(const DistArray<T>& a, Fn&& fn) {
-  const index_t n = a.local_size();
-  index_t run_start = 0;
-  std::int64_t run_global = n > 0 ? global_linear(a, 0) : 0;
-  for (index_t i = 1; i <= n; ++i) {
-    const std::int64_t g =
-        i < n ? global_linear(a, i) : std::int64_t{-2};  // forced break
-    if (g != run_global + (i - run_start)) {
-      fn(run_global, run_start, i - run_start);
-      run_start = i;
-      run_global = g;
-    }
-  }
-}
-
-}  // namespace detail
-
 /// Saves this rank's block of `a` under (key, version). Local; every rank
 /// saves its own block, any distribution can restore.
 template <class T>
@@ -54,7 +20,7 @@ inline void snapshot_dist_array(util::CheckpointStore& store,
                                 const DistArray<T>& a) {
   const auto view = a.local_view();
   std::vector<double> run;
-  detail::for_each_run(a, [&](std::int64_t g, index_t lo, index_t len) {
+  a.for_each_global_run([&](index_t g, index_t lo, index_t len) {
     run.assign(view.begin() + lo, view.begin() + lo + len);
     store.save(key, version, g, run.data(), run.size());
   });
@@ -67,7 +33,7 @@ inline void restore_dist_array(const util::CheckpointStore& store,
                                const std::string& key, std::uint64_t version,
                                DistArray<T>& a) {
   auto view = a.local_view();
-  detail::for_each_run(a, [&](std::int64_t g, index_t lo, index_t len) {
+  a.for_each_global_run([&](index_t g, index_t lo, index_t len) {
     const auto vals = store.restore(key, version, g, g + len);
     for (index_t k = 0; k < len; ++k) {
       view[static_cast<std::size_t>(lo + k)] =

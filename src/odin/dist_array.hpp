@@ -326,22 +326,6 @@ class DistArray {
     return out;
   }
 
- private:
-  struct Uninit {};
-  DistArray(Distribution dist, Uninit)
-      : dist_(std::make_shared<Distribution>(std::move(dist))),
-        data_(static_cast<std::size_t>(dist_->local_count())) {}
-
-  /// Elementwise f over operands already known to be conformable.
-  template <class F>
-  DistArray zip_local(const DistArray& other, F&& f) const {
-    DistArray out = uninitialized(*dist_);
-    util::ufunc_zip(data_.data(), other.data_.data(), out.data_.data(),
-                    static_cast<std::int64_t>(data_.size()),
-                    util::kDefaultGrain, f);
-    return out;
-  }
-
   /// Calls f(l, global multi-index) for every local element l in local
   /// order, walking an odometer over the per-axis global indices: one
   /// index vector, updated only on the axes that move, so nothing is
@@ -364,6 +348,44 @@ class DistArray {
         gidx[a] = axes[a][0];
       }
     }
+  }
+
+  /// Calls f(global_start, local_start, length) for each maximal run of
+  /// local elements at consecutive row-major global offsets, in local
+  /// order: the pieces file and checkpoint I/O move in one call each.
+  template <class F>
+  void for_each_global_run(F&& f) const {
+    const auto strides = shape().strides();
+    index_t run_global = 0, run_local = 0, run_len = 0;
+    for_each_global([&](std::size_t l, const std::vector<index_t>& gidx) {
+      index_t g = 0;
+      for (std::size_t a = 0; a < gidx.size(); ++a) g += gidx[a] * strides[a];
+      if (run_len > 0 && g == run_global + run_len) {
+        ++run_len;
+        return;
+      }
+      if (run_len > 0) f(run_global, run_local, run_len);
+      run_global = g;
+      run_local = static_cast<index_t>(l);
+      run_len = 1;
+    });
+    if (run_len > 0) f(run_global, run_local, run_len);
+  }
+
+ private:
+  struct Uninit {};
+  DistArray(Distribution dist, Uninit)
+      : dist_(std::make_shared<Distribution>(std::move(dist))),
+        data_(static_cast<std::size_t>(dist_->local_count())) {}
+
+  /// Elementwise f over operands already known to be conformable.
+  template <class F>
+  DistArray zip_local(const DistArray& other, F&& f) const {
+    DistArray out = uninitialized(*dist_);
+    util::ufunc_zip(data_.data(), other.data_.data(), out.data_.data(),
+                    static_cast<std::int64_t>(data_.size()),
+                    util::kDefaultGrain, f);
+    return out;
   }
 
   /// Stores f(global multi-index) into every local element.

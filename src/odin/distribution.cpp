@@ -307,16 +307,15 @@ std::string Distribution::describe() const {
     const AxisSpec& spec = specs_[static_cast<std::size_t>(a)];
     switch (spec.scheme) {
       case Scheme::kReplicated: parts.push_back("*"); break;
-      case Scheme::kBlock: parts.push_back("b" + std::to_string(spec.procs)); break;
-      case Scheme::kExplicit: parts.push_back("e" + std::to_string(spec.procs)); break;
-      case Scheme::kCyclic: parts.push_back("c" + std::to_string(spec.procs)); break;
+      case Scheme::kBlock: parts.push_back(util::cat("b", spec.procs)); break;
+      case Scheme::kExplicit: parts.push_back(util::cat("e", spec.procs)); break;
+      case Scheme::kCyclic: parts.push_back(util::cat("c", spec.procs)); break;
       case Scheme::kBlockCyclic:
-        parts.push_back("bc" + std::to_string(spec.procs) + "x" +
-                        std::to_string(spec.block));
+        parts.push_back(util::cat("bc", spec.procs, "x", spec.block));
         break;
     }
   }
-  return "Dist" + shape_.to_string() + "[" + util::join(parts, ",") + "]";
+  return util::cat("Dist", shape_, "[", util::join(parts, ","), "]");
 }
 
 std::vector<int> redistribution_targets(const Distribution& from,

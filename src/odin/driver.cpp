@@ -348,11 +348,13 @@ double DriverContext::collect_reduce(std::int32_t session) {
 }
 
 double DriverContext::reduce_sum(int a) {
-  if (batching_) flush_batch();
   ControlMessage m;
   m.op = ControlMessage::Op::kReduceSum;
   m.arg0 = a;
   post(m);
+  // In batching mode the reduce rides at the tail of the queued batch: one
+  // payload per worker for the whole sync.
+  if (batching_) flush_batch();
   return collect_reduce(0);
 }
 

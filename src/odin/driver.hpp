@@ -164,7 +164,8 @@ class DriverContext {
   /// result = per-worker-block tridiagonal solve of T x = b (cached setup).
   int block_solve(int b);
   void free_array(int id);
-  /// Sum-reduce: workers reply with partials the driver folds. Raises
+  /// Sum-reduce: workers reply with partials the driver folds. In batching
+  /// mode it flushes the batch with the reduce at its tail. Raises
   /// WorkerLostError naming the rank when a worker has died.
   double reduce_sum(int a);
   /// Delivers shutdown to every live worker, then raises WorkerLostError
@@ -174,7 +175,9 @@ class DriverContext {
   // ---- message batching (the paper's buffering optimization) ------------
 
   /// Between begin_batch and flush_batch, messages queue locally and ship
-  /// as one payload per worker at flush (or at the next reduce/shutdown).
+  /// as one payload per worker at flush. A reduce_sum ends the batch: it
+  /// ships at the batch's tail in that same payload. shutdown flushes the
+  /// batch, then ships its own payload.
   /// Prefer BatchGuard (below): these raw calls are not exception-safe on
   /// their own — a throw between them used to leave posted messages
   /// buffered forever, shipping out of order with later traffic.

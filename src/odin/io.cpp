@@ -59,14 +59,10 @@ class File {
   int fd_;
 };
 
-// Absolute element offset of a global multi-index (row-major).
-std::int64_t linear_of(const Shape& shape, const std::vector<index_t>& gidx) {
-  const auto strides = shape.strides();
-  std::int64_t lin = 0;
-  for (std::size_t a = 0; a < gidx.size(); ++a) {
-    lin += gidx[a] * strides[a];
-  }
-  return lin;
+// File offset of the element at row-major global offset g.
+off_t data_offset(index_t g) {
+  return static_cast<off_t>(sizeof(Header)) +
+         static_cast<off_t>(g) * static_cast<off_t>(sizeof(double));
 }
 
 }  // namespace
@@ -94,29 +90,13 @@ void write_distributed(const DistArray<double>& a, const std::string& path) {
   comm.barrier();  // header visible before anyone writes data
 
   File f(path, O_WRONLY);
-  // Coalesce runs of consecutive file offsets into single pwrites.
+  // One pwrite per run of consecutive file offsets.
   const auto view = a.local_view();
-  index_t run_start = 0;
-  std::int64_t run_off = -2;
-  std::int64_t first_off = 0;
-  for (index_t l = 0; l <= a.local_size(); ++l) {
-    std::int64_t off = -1;
-    if (l < a.local_size()) {
-      off = linear_of(shape, a.dist().global_of_local(l));
-    }
-    if (off != run_off + 1 || l == a.local_size()) {
-      if (l > run_start) {
-        f.pwrite_all(view.data() + run_start,
-                     static_cast<std::size_t>(l - run_start) * sizeof(double),
-                     static_cast<off_t>(sizeof(Header)) +
-                         static_cast<off_t>(first_off) *
-                             static_cast<off_t>(sizeof(double)));
-      }
-      run_start = l;
-      first_off = off;
-    }
-    run_off = off;
-  }
+  a.for_each_global_run([&](index_t g, index_t lo, index_t len) {
+    f.pwrite_all(view.data() + lo,
+                 static_cast<std::size_t>(len) * sizeof(double),
+                 data_offset(g));
+  });
   comm.barrier();  // file complete before anyone returns
 }
 
@@ -146,29 +126,13 @@ DistArray<double> read_distributed(const Distribution& dist,
 
   DistArray<double> a(dist);
   File f(path, O_RDONLY);
+  // Same runs as the writer.
   auto view = a.local_view();
-  // Same run-coalescing as the writer.
-  index_t run_start = 0;
-  std::int64_t run_off = -2;
-  std::int64_t first_off = 0;
-  for (index_t l = 0; l <= a.local_size(); ++l) {
-    std::int64_t off = -1;
-    if (l < a.local_size()) {
-      off = linear_of(stored, dist.global_of_local(l));
-    }
-    if (off != run_off + 1 || l == a.local_size()) {
-      if (l > run_start) {
-        f.pread_all(view.data() + run_start,
-                    static_cast<std::size_t>(l - run_start) * sizeof(double),
-                    static_cast<off_t>(sizeof(Header)) +
-                        static_cast<off_t>(first_off) *
-                            static_cast<off_t>(sizeof(double)));
-      }
-      run_start = l;
-      first_off = off;
-    }
-    run_off = off;
-  }
+  a.for_each_global_run([&](index_t g, index_t lo, index_t len) {
+    f.pread_all(view.data() + lo,
+                static_cast<std::size_t>(len) * sizeof(double),
+                data_offset(g));
+  });
   return a;
 }
 

@@ -185,11 +185,12 @@ void ServiceContext::maybe_flush_locked() {
   if (waited >= opts_.batch_window) flush_locked();
 }
 
-void ServiceContext::flush_locked() {
-  if (queued_total_ == 0) return;
+void ServiceContext::flush_locked(const ControlMessage* sync) {
+  if (queued_total_ == 0 && sync == nullptr) return;
   obs::Span span("service.flush", "service");
   if (span.active()) {
-    span.arg("messages", static_cast<std::int64_t>(queued_total_));
+    span.arg("messages",
+             static_cast<std::int64_t>(queued_total_ + (sync ? 1 : 0)));
     span.arg("sessions", static_cast<std::int64_t>(sessions_.size()));
   }
   // Drain round-robin, session_quantum messages per session per turn, so
@@ -197,7 +198,7 @@ void ServiceContext::flush_locked() {
   // else's in the wire batch. rr_cursor_ rotates the starting session
   // across flushes so no session is systematically first.
   std::vector<ControlMessage> wire;
-  wire.reserve(queued_total_);
+  wire.reserve(queued_total_ + 1);
   std::vector<SessionState*> order;
   order.reserve(sessions_.size());
   for (auto& [sid, st] : sessions_) order.push_back(&st);
@@ -216,6 +217,13 @@ void ServiceContext::flush_locked() {
         }
       }
     }
+  }
+  if (sync != nullptr) {
+    // The sync point never enters a session queue, so admission control
+    // can neither shed nor park it; it still counts as submitted.
+    wire.push_back(*sync);
+    ++submitted_;
+    metrics().add("service.messages_submitted", 1.0);
   }
   queued_total_ = 0;
   ++batches_;
@@ -239,14 +247,15 @@ int ServiceContext::op(std::int32_t sid, ControlMessage msg,
 double ServiceContext::reduce(std::int32_t sid, int a) {
   require(is_driver(), "ServiceContext: operations are driver-side only");
   std::lock_guard<std::mutex> lock(mu_);
-  // A reduce is a sync point: drain the backlog first so admission
-  // control never sheds or parks the collection request itself.
-  flush_locked();
+  state_locked(sid);  // validate the handle
+  // A reduce is a sync point: it rides at the tail of the backlog's batch,
+  // so the workers run everything queued before it and the whole round
+  // costs one payload per worker.
   ControlMessage m;
   m.op = ControlMessage::Op::kReduceSum;
   m.arg0 = a;
-  submit_locked(sid, m);
-  flush_locked();  // the reduce must be on the wire before we collect
+  m.session = sid;
+  flush_locked(&m);
   return driver_.collect_reduce(sid);
 }
 
@@ -263,11 +272,11 @@ void ServiceContext::close_session(std::int32_t sid) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sessions_.find(sid);
   if (it == sessions_.end() || !it->second.open) return;  // idempotent
-  flush_locked();  // sync point: the close must never be shed
+  // Sync point, like a reduce: rides at the tail of the flushed batch.
   ControlMessage m;
   m.op = ControlMessage::Op::kCloseSession;
-  submit_locked(sid, m);
-  flush_locked();
+  m.session = sid;
+  flush_locked(&m);
   sessions_.erase(sid);
   metrics().add("service.sessions_closed", 1.0);
 }

@@ -92,13 +92,14 @@ class Session {
   int axpy(double alpha, int x, int y);
   int block_solve(int b);
   void free_array(int id);
-  /// Synchronous: flushes this session's queue (and everything coalesced
-  /// with it) and collects the partials on this session's reply tag.
+  /// Synchronous: ships the reduce at the tail of one batch with this
+  /// session's queue (and everything coalesced with it), then collects
+  /// the partials on this session's reply tag.
   double reduce_sum(int a);
   /// Force the coalescing window closed now.
   void flush();
-  /// Ship a kCloseSession (workers drop this session's segments) and
-  /// invalidate the handle. Idempotent.
+  /// Ship a kCloseSession at the tail of the flushed backlog (workers drop
+  /// this session's segments) and invalidate the handle. Idempotent.
   void close();
 
  private:
@@ -152,7 +153,9 @@ class ServiceContext {
   SessionState& state_locked(std::int32_t sid);
   void submit_locked(std::int32_t sid, ControlMessage msg);
   void maybe_flush_locked();
-  void flush_locked();
+  /// Ships every queued message as one wire batch; a sync message (reduce
+  /// or close) rides at its tail, past admission control.
+  void flush_locked(const ControlMessage* sync = nullptr);
 
   // Session-facing entry points (each takes mu_).
   int op(std::int32_t sid, ControlMessage msg, bool fresh_result);

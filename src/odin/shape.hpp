@@ -82,7 +82,7 @@ class Shape {
     std::vector<std::string> parts;
     parts.reserve(dims_.size());
     for (auto d : dims_) parts.push_back(std::to_string(d));
-    return "(" + util::join(parts, ", ") + ")";
+    return util::cat("(", util::join(parts, ", "), ")");
   }
 
   /// Streams to_string(), so a Shape can be a require() message part.

@@ -50,33 +50,44 @@ DistArray<T> slice(const DistArray<T>& a, const std::vector<Slice>& slices) {
   // whenever alignof(T) < alignof(index_t), and padding bytes go over the
   // wire uninitialized (nondeterministic checksums under MSan) and inflate
   // the payload.
+  //
+  // Two passes over the local elements: the first sizes each part exactly,
+  // the second fills it, so nothing is allocated per element.
   const int p = comm.size();
-  std::vector<std::vector<index_t>> out_indices(static_cast<std::size_t>(p));
-  std::vector<std::vector<T>> out_values(static_cast<std::size_t>(p));
   std::vector<index_t> out_idx(static_cast<std::size_t>(a.ndim()), 0);
-  for (index_t l = 0; l < a.local_size(); ++l) {
-    const auto gidx = a.dist().global_of_local(l);
-    bool inside = true;
-    for (int axis = 0; axis < a.ndim() && inside; ++axis) {
+  // The source element at global multi-index gidx: its (owner, local
+  // offset) in the result, or owner -1 when the slice skips it.
+  auto target = [&](const std::vector<index_t>& gidx) {
+    for (int axis = 0; axis < a.ndim(); ++axis) {
       const auto& r = resolved[static_cast<std::size_t>(axis)];
       const index_t g = gidx[static_cast<std::size_t>(axis)];
-      const index_t delta = g - r.first;
-      if (r.step > 0) {
-        inside = delta >= 0 && delta % r.step == 0 && delta / r.step < r.count;
-        if (inside) out_idx[static_cast<std::size_t>(axis)] = delta / r.step;
-      } else {
-        const index_t back = r.first - g;
-        inside = back >= 0 && back % (-r.step) == 0 &&
-                 back / (-r.step) < r.count;
-        if (inside) out_idx[static_cast<std::size_t>(axis)] = back / (-r.step);
+      const index_t delta = r.step > 0 ? g - r.first : r.first - g;
+      const index_t step = r.step > 0 ? r.step : -r.step;
+      if (delta < 0 || delta % step != 0 || delta / step >= r.count) {
+        return std::pair<int, index_t>{-1, 0};
       }
+      out_idx[static_cast<std::size_t>(axis)] = delta / step;
     }
-    if (!inside) continue;
-    const auto [owner, lidx] = out_dist.owner_of(out_idx);
-    out_indices[static_cast<std::size_t>(owner)].push_back(lidx);
-    out_values[static_cast<std::size_t>(owner)].push_back(
-        a.local_view()[static_cast<std::size_t>(l)]);
+    return out_dist.owner_of(out_idx);
+  };
+  std::vector<std::size_t> counts(static_cast<std::size_t>(p), 0);
+  a.for_each_global([&](std::size_t, const std::vector<index_t>& gidx) {
+    const int owner = target(gidx).first;
+    if (owner >= 0) ++counts[static_cast<std::size_t>(owner)];
+  });
+  std::vector<std::vector<index_t>> out_indices(static_cast<std::size_t>(p));
+  std::vector<std::vector<T>> out_values(static_cast<std::size_t>(p));
+  for (std::size_t r = 0; r < counts.size(); ++r) {
+    out_indices[r].reserve(counts[r]);
+    out_values[r].reserve(counts[r]);
   }
+  const auto local = a.local_view();
+  a.for_each_global([&](std::size_t l, const std::vector<index_t>& gidx) {
+    const auto [owner, lidx] = target(gidx);
+    if (owner < 0) return;
+    out_indices[static_cast<std::size_t>(owner)].push_back(lidx);
+    out_values[static_cast<std::size_t>(owner)].push_back(local[l]);
+  });
   auto in_indices = comm.alltoallv(std::move(out_indices));
   auto in_values = comm.alltoallv(std::move(out_values));
 

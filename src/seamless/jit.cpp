@@ -267,7 +267,10 @@ class TypeInferencer {
                              const std::vector<JitType>& types,
                              int line) const {
     std::string key = fn.name;
-    for (auto t : types) key += "/" + jit_type_name(t);
+    for (auto t : types) {
+      key += '/';
+      key += jit_type_name(t);
+    }
     thread_local std::set<std::string> in_progress;
     if (in_progress.count(key)) {
       not_jittable(line, "recursive call to '" + fn.name +
@@ -693,7 +696,10 @@ class JitCompiler {
       types.push_back(v.type);
     }
     std::string key = callee.name;
-    for (auto t : types) key += "/" + jit_type_name(t);
+    for (auto t : types) {
+      key += '/';
+      key += jit_type_name(t);
+    }
     auto it = callee_cache_.find(key);
     if (it == callee_cache_.end()) {
       auto compiled = std::make_shared<JitFunction>(

@@ -36,7 +36,10 @@ Value Engine::run_jit(const std::string& name, std::vector<Value> args) {
 const JitFunction& Engine::jit(const std::string& name,
                                const std::vector<JitType>& param_types) {
   std::string key = name;
-  for (auto t : param_types) key += "/" + jit_type_name(t);
+  for (auto t : param_types) {
+    key += '/';
+    key += jit_type_name(t);
+  }
   auto it = jit_cache_.find(key);
   if (it == jit_cache_.end()) {
     obs::Span span("jit.compile", "seamless");

@@ -49,7 +49,7 @@ std::string list_repr(const ListValue& list,
                                    : item.repr());
   }
   path.pop_back();
-  return "[" + util::join(parts, ", ") + "]";
+  return util::cat("[", util::join(parts, ", "), "]");
 }
 
 }  // namespace

@@ -2,26 +2,33 @@
 // Vector allocates only its values, an AMG V-cycle allocates the same
 // number of times whatever the problem size (its vectors live in per-level
 // workspace; what remains is per-message comm traffic), and so do ODIN's
-// redistribution plan and move, owner lookups and fromfunction. Counting
+// redistribution plan and move, owner lookups, fromfunction, slicing, file
+// I/O and checkpoints. Counting
 // replaces the global operator new, which is why these tests have their
 // own binary (the counting operator new lives in alloc_hooks.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "comm/runner.hpp"
 #include "galeri/gallery.hpp"
+#include "odin/checkpoint.hpp"
 #include "odin/dist_array.hpp"
+#include "odin/io.hpp"
+#include "odin/slicing.hpp"
 #include "precond/amg.hpp"
 
 namespace pc = pyhpc::comm;
 namespace gl = pyhpc::galeri;
 namespace od = pyhpc::odin;
 namespace pp = pyhpc::precond;
+namespace pu = pyhpc::util;
 
 using GO = std::int64_t;
 
@@ -201,4 +208,77 @@ TEST(Alloc, FromFunctionCountDoesNotGrowWithArraySize) {
     EXPECT_EQ(counts[0], counts[1])
         << "fromfunction allocations grew from 64x100 to 256x100";
   });
+}
+
+// Slicing, file I/O and checkpoints walk the local elements' global indices
+// with DistArray::for_each_global, so each allocates per part, run or
+// message, never per element. Each case runs `body` on a block-distributed
+// arange of n elements, n = 16Ki and 64Ki, and compares each rank's fewest
+// allocations over many calls (as for the V-cycle).
+class OdinWalkAlloc : public ::testing::TestWithParam<int> {
+ protected:
+  template <class Body>
+  void expect_flat(Body body, const char* what) {
+    const int nranks = GetParam();
+    pc::CommConfig cfg;
+    cfg.threads = 1;
+    std::vector<std::vector<std::size_t>> per_size;
+    for (const od::index_t n : {16 * 1024, 64 * 1024}) {
+      std::vector<std::size_t> per_rank(static_cast<std::size_t>(nranks), 0);
+      pc::run(nranks, cfg, [&](pc::Communicator& comm) {
+        const auto a = od::DistArray<double>::arange(
+            od::Distribution::block(comm, od::Shape{n}, 0));
+        std::size_t fewest = SIZE_MAX;
+        for (int rep = 0; rep < 10; ++rep) {
+          const std::size_t before = t_allocations;
+          body(comm, a, n);
+          fewest = std::min(fewest, t_allocations - before);
+        }
+        per_rank[static_cast<std::size_t>(comm.rank())] = fewest;
+      });
+      per_size.push_back(per_rank);
+    }
+    EXPECT_EQ(per_size[0], per_size[1])
+        << what << " allocations grew from 16Ki to 64Ki elements";
+  }
+};
+INSTANTIATE_TEST_SUITE_P(Ranks, OdinWalkAlloc, ::testing::Values(1, 3));
+
+TEST_P(OdinWalkAlloc, SliceCountDoesNotGrowWithArraySize) {
+  expect_flat(
+      [](pc::Communicator&, const od::DistArray<double>& a, od::index_t n) {
+        const auto odd = od::slice1d(a, od::Slice::range(1, n, 2));
+        EXPECT_EQ(odd.size(), n / 2);
+      },
+      "slice");
+}
+
+TEST_P(OdinWalkAlloc, FileWriteAndReadCountDoesNotGrowWithArraySize) {
+  const std::string path = ::testing::TempDir() + "pyhpc_alloc_io_" +
+                           std::to_string(GetParam()) + ".bin";
+  expect_flat(
+      [&](pc::Communicator& comm, const od::DistArray<double>& a,
+          od::index_t n) {
+        od::write_distributed(a, path);
+        const auto back = od::read_distributed(a.dist(), path);
+        EXPECT_TRUE(std::equal(a.local_view().begin(), a.local_view().end(),
+                               back.local_view().begin()));
+        EXPECT_EQ(back.size(), n);
+        comm.barrier();  // every read done before the next write truncates
+      },
+      "write_distributed/read_distributed");
+  std::remove(path.c_str());
+}
+
+TEST_P(OdinWalkAlloc, CheckpointCountDoesNotGrowWithArraySize) {
+  expect_flat(
+      [](pc::Communicator&, const od::DistArray<double>& a, od::index_t) {
+        pu::CheckpointStore store;
+        od::snapshot_dist_array(store, "a", 1, a);
+        od::DistArray<double> b(a.dist());
+        od::restore_dist_array(store, "a", 1, b);
+        EXPECT_TRUE(std::equal(a.local_view().begin(), a.local_view().end(),
+                               b.local_view().begin()));
+      },
+      "snapshot_dist_array/restore_dist_array");
 }

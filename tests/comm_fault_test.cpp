@@ -7,10 +7,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
 #include <thread>
+#include <vector>
 
 #include "comm/config.hpp"
 #include "comm/fault.hpp"
+#include "comm/message.hpp"
 #include "comm/runner.hpp"
 #include "obs/metrics.hpp"
 #include "odin/driver.hpp"
@@ -128,6 +132,55 @@ TEST(FaultInjection, CorruptionIsDetectedNotDecoded) {
     EXPECT_EQ(comm.stats().corruption_detected, 1u);
   });
   EXPECT_EQ(inj->counts().corruptions, 1u);
+}
+
+// The envelope checksum hashes 32-byte blocks as four 64-bit lanes and the
+// tail byte-wise; every step is a bijection of its state, so changing any
+// one byte (the injector's corruption), or any one aligned word of the
+// blocks, must change it at every payload length.
+TEST(FaultInjection, ChecksumChangesWithEveryByteAndBlockWord) {
+  for (std::size_t n = 0; n <= 100; ++n) {
+    std::vector<std::byte> bytes(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      bytes[i] = static_cast<std::byte>((i * 37 + n) & 0xff);
+    }
+    auto checksum_of = [](const std::vector<std::byte>& b) {
+      pc::Envelope env;
+      env.source = 1;
+      env.tag = 5;
+      env.payload = pc::Buffer::copy_of(std::span<const std::byte>(b));
+      return pc::envelope_checksum(env);
+    };
+    const std::uint64_t clean = checksum_of(bytes);
+    if (n < 32) {
+      // No full block: plain byte-wise FNV-1a over source, tag, size and
+      // payload, as the checksum has always been.
+      std::uint64_t fnv = 1469598103934665603ULL;
+      auto step = [&fnv](std::uint64_t byte) {
+        fnv = (fnv ^ byte) * 1099511628211ULL;
+      };
+      for (std::uint64_t v : {std::uint64_t{1}, std::uint64_t{5},
+                              static_cast<std::uint64_t>(n)}) {
+        for (int i = 0; i < 8; ++i) step((v >> (8 * i)) & 0xff);
+      }
+      for (std::byte b : bytes) step(std::to_integer<std::uint64_t>(b));
+      EXPECT_EQ(clean, fnv) << "n = " << n;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (const std::byte flip : {std::byte{0xFF}, std::byte{0x10}}) {
+        auto tampered = bytes;
+        tampered[i] ^= flip;
+        EXPECT_NE(checksum_of(tampered), clean)
+            << "n = " << n << ", byte " << i << " ^ "
+            << std::to_integer<int>(flip);
+      }
+    }
+    for (std::size_t w = 0; w + 8 <= n - n % 32; w += 8) {
+      auto tampered = bytes;
+      for (std::size_t i = w; i < w + 8; ++i) tampered[i] = ~tampered[i];
+      EXPECT_NE(checksum_of(tampered), clean) << "n = " << n << ", word " << w;
+    }
+  }
 }
 
 TEST(FaultInjection, DelayStallsButDelivers) {
