@@ -104,14 +104,6 @@ std::uint64_t segment_key(std::int32_t session, std::int32_t id) {
 
 }  // namespace
 
-DriverContext::DriverContext(comm::Communicator& comm) : comm_(&comm) {
-  require(comm.size() >= 2,
-          "DriverContext: need at least one worker besides the driver");
-  opts_.reliable = false;
-  setup_cache_ = std::make_unique<util::SetupCache>(
-      opts_.setup_cache_capacity, "service.cache");
-}
-
 DriverContext::DriverContext(comm::Communicator& comm,
                              const DriverOptions& options)
     : comm_(&comm), opts_(options) {
@@ -130,14 +122,6 @@ std::int64_t DriverContext::local_count(std::int64_t n) const {
   const int w = comm_->rank() - 1;
   const int nw = num_workers();
   return n / nw + (w < n % nw ? 1 : 0);
-}
-
-std::int64_t DriverContext::local_offset(std::int64_t n) const {
-  const int w = comm_->rank() - 1;
-  const int nw = num_workers();
-  const std::int64_t chunk = n / nw;
-  const std::int64_t rem = n % nw;
-  return static_cast<std::int64_t>(w) * chunk + std::min<std::int64_t>(w, rem);
 }
 
 void DriverContext::raise_worker_lost(int worker, const char* during) const {
@@ -213,112 +197,27 @@ void DriverContext::ship_batch(const std::vector<ControlMessage>& batch) {
   if (span.active()) {
     span.arg("messages", static_cast<std::int64_t>(batch.size()));
     span.arg("workers", static_cast<std::int64_t>(comm_->size() - 1));
-    span.arg("reliable", static_cast<std::int64_t>(opts_.reliable ? 1 : 0));
   }
   obs::MetricsRegistry::global().add("driver.payloads_shipped", 1.0);
   const std::uint64_t seq = ++seq_;
   for (int w = 1; w < comm_->size(); ++w) send_payload(w, batch, seq);
-  if (opts_.reliable) {
-    for (int w = 1; w < comm_->size(); ++w) {
-      await_ack_or_retry(w, batch, seq);
+  // Deliver everywhere and collect every live ack before reporting a
+  // casualty, so one dead worker cannot stop a payload (a shutdown in
+  // particular) from completing on the live ones.
+  int first_dead = -1;
+  for (int w = 1; w < comm_->size(); ++w) {
+    if (!comm_->rank_dead(w)) {
+      try {
+        await_ack_or_retry(w, batch, seq);
+        continue;
+      } catch (const WorkerLostError&) {
+      }
     }
+    if (first_dead < 0) first_dead = w;
   }
-}
-
-void DriverContext::post(const ControlMessage& msg) {
-  require(is_driver(), "DriverContext: operations are driver-side only");
-  if (batching_) {
-    queue_.push_back(msg);
-    return;
+  if (first_dead >= 0) {
+    raise_worker_lost(first_dead, "control payload acknowledgement");
   }
-  ship_batch({msg});
-}
-
-void DriverContext::begin_batch() {
-  require(is_driver(), "DriverContext: begin_batch is driver-side only");
-  batching_ = true;
-}
-
-void DriverContext::flush_batch() {
-  require(is_driver(), "DriverContext: flush_batch is driver-side only");
-  batching_ = false;
-  if (queue_.empty()) return;
-  ship_batch(queue_);
-  queue_.clear();
-}
-
-void DriverContext::discard_batch() {
-  require(is_driver(), "DriverContext: discard_batch is driver-side only");
-  batching_ = false;
-  queue_.clear();
-}
-
-int DriverContext::create_random(std::int64_t n, std::uint64_t seed) {
-  ControlMessage m;
-  m.op = ControlMessage::Op::kCreateRandom;
-  m.result_id = fresh_id();
-  m.n = n;
-  m.scalar = static_cast<double>(seed);
-  post(m);
-  return m.result_id;
-}
-
-int DriverContext::create_full(std::int64_t n, double value) {
-  ControlMessage m;
-  m.op = ControlMessage::Op::kCreateFull;
-  m.result_id = fresh_id();
-  m.n = n;
-  m.scalar = value;
-  post(m);
-  return m.result_id;
-}
-
-int DriverContext::unary(const std::string& ufunc, int a) {
-  ControlMessage m;
-  m.op = ControlMessage::Op::kUnary;
-  m.result_id = fresh_id();
-  m.arg0 = a;
-  m.set_name(ufunc);
-  post(m);
-  return m.result_id;
-}
-
-int DriverContext::binary(const std::string& ufunc, int a, int b) {
-  ControlMessage m;
-  m.op = ControlMessage::Op::kBinary;
-  m.result_id = fresh_id();
-  m.arg0 = a;
-  m.arg1 = b;
-  m.set_name(ufunc);
-  post(m);
-  return m.result_id;
-}
-
-int DriverContext::axpy(double alpha, int x, int y) {
-  ControlMessage m;
-  m.op = ControlMessage::Op::kAxpy;
-  m.result_id = fresh_id();
-  m.arg0 = x;
-  m.arg1 = y;
-  m.scalar = alpha;
-  post(m);
-  return m.result_id;
-}
-
-int DriverContext::block_solve(int b) {
-  ControlMessage m;
-  m.op = ControlMessage::Op::kBlockSolve;
-  m.result_id = fresh_id();
-  m.arg0 = b;
-  post(m);
-  return m.result_id;
-}
-
-void DriverContext::free_array(int id) {
-  ControlMessage m;
-  m.op = ControlMessage::Op::kFree;
-  m.arg0 = id;
-  post(m);
 }
 
 double DriverContext::collect_reduce(std::int32_t session) {
@@ -327,62 +226,22 @@ double DriverContext::collect_reduce(std::int32_t session) {
   double total = 0.0;
   for (int w = 1; w < comm_->size(); ++w) {
     if (comm_->rank_dead(w)) raise_worker_lost(w, "reduce_sum");
-    if (opts_.reliable) {
-      try {
-        total += comm_->recv_value_within<double>(opts_.reply_timeout, w, tag);
-      } catch (const PeerKilledError&) {
-        raise_worker_lost(w, "reduce_sum");
-      } catch (const RecvTimeoutError&) {
-        if (comm_->rank_dead(w)) raise_worker_lost(w, "reduce_sum");
-        throw;
-      }
-    } else {
-      try {
-        total += comm_->recv_value<double>(w, tag);
-      } catch (const PeerKilledError&) {
-        raise_worker_lost(w, "reduce_sum");
-      }
+    try {
+      total += comm_->recv_value_within<double>(opts_.reply_timeout, w, tag);
+    } catch (const PeerKilledError&) {
+      raise_worker_lost(w, "reduce_sum");
+    } catch (const RecvTimeoutError&) {
+      if (comm_->rank_dead(w)) raise_worker_lost(w, "reduce_sum");
+      throw;
     }
   }
   return total;
 }
 
-double DriverContext::reduce_sum(int a) {
-  ControlMessage m;
-  m.op = ControlMessage::Op::kReduceSum;
-  m.arg0 = a;
-  post(m);
-  // In batching mode the reduce rides at the tail of the queued batch: one
-  // payload per worker for the whole sync.
-  if (batching_) flush_batch();
-  return collect_reduce(0);
-}
-
 void DriverContext::shutdown() {
-  if (batching_) flush_batch();
   ControlMessage m;
   m.op = ControlMessage::Op::kShutdown;
-  // Inline ship_batch() so one dead worker cannot stop the shutdown from
-  // reaching the live ones: deliver everywhere first, collect acks from
-  // live workers, then report the first casualty.
-  const std::vector<ControlMessage> batch{m};
-  const std::uint64_t seq = ++seq_;
-  for (int w = 1; w < comm_->size(); ++w) send_payload(w, batch, seq);
-  int first_dead = -1;
-  if (opts_.reliable) {
-    for (int w = 1; w < comm_->size(); ++w) {
-      if (comm_->rank_dead(w)) {
-        if (first_dead < 0) first_dead = w;
-        continue;
-      }
-      try {
-        await_ack_or_retry(w, batch, seq);
-      } catch (const WorkerLostError&) {
-        if (first_dead < 0) first_dead = w;
-      }
-    }
-  }
-  if (first_dead >= 0) raise_worker_lost(first_dead, "shutdown");
+  ship_batch({m});
 }
 
 void DriverContext::worker_loop() {
@@ -394,8 +253,7 @@ void DriverContext::worker_loop() {
       comm_->recv_bytes(raw, 0, kControlTag);
     } catch (const CommIntegrityError&) {
       // Corrupted payload: discard it (counted in CommStats by the
-      // receive path). In reliable mode the driver retransmits on the
-      // missing ack; in legacy mode the loss is silent, as on a real NIC.
+      // receive path); the driver retransmits on the missing ack.
       continue;
     }
     std::vector<ControlMessage> batch;
@@ -409,7 +267,7 @@ void DriverContext::worker_loop() {
       obs::MetricsRegistry::global().add("driver.stale_epoch_payloads", 1.0);
       continue;
     }
-    if (opts_.reliable && hdr.seq <= last_seq_) {
+    if (hdr.seq <= last_seq_) {
       // Retransmission or injected duplicate of a payload already
       // executed: just re-ack so the driver stops retrying.
       obs::instant("driver.duplicate_payload", "odin");
@@ -439,10 +297,8 @@ void DriverContext::worker_loop() {
       }
       if (!running) break;
     }
-    if (opts_.reliable) {
-      obs::MetricsRegistry::global().add("driver.acks_sent", 1.0);
-      comm_->send_value_internal(AckFrame{opts_.epoch, hdr.seq}, 0, kAckTag);
-    }
+    obs::MetricsRegistry::global().add("driver.acks_sent", 1.0);
+    comm_->send_value_internal(AckFrame{opts_.epoch, hdr.seq}, 0, kAckTag);
   }
 }
 

@@ -72,6 +72,10 @@ void write_distributed(const DistArray<double>& a, const std::string& path) {
   require(shape.ndim() <= kMaxDims, "odin io: too many dimensions");
   auto& comm = a.dist().comm();
 
+  // No rank truncates until every rank has entered the write: a rank may
+  // still be reading this path (read_distributed ends without a barrier),
+  // and truncating under it would hand it zeros or a short read.
+  comm.barrier();
   if (comm.rank() == 0) {
     Header h;
     h.ndim = shape.ndim();

@@ -129,8 +129,6 @@ ServiceContext::ServiceContext(comm::Communicator& comm,
           "ServiceOptions: session_queue_limit must be positive");
   require(opts_.batch_messages > 0,
           "ServiceOptions: batch_messages must be positive");
-  require(opts_.session_quantum > 0,
-          "ServiceOptions: session_quantum must be positive");
 }
 
 Session ServiceContext::open_session() {
@@ -193,7 +191,7 @@ void ServiceContext::flush_locked(const ControlMessage* sync) {
              static_cast<std::int64_t>(queued_total_ + (sync ? 1 : 0)));
     span.arg("sessions", static_cast<std::int64_t>(sessions_.size()));
   }
-  // Drain round-robin, session_quantum messages per session per turn, so
+  // Drain round-robin, kSessionQuantum messages per session per turn, so
   // a flooding session's backlog interleaves with (not precedes) everyone
   // else's in the wire batch. rr_cursor_ rotates the starting session
   // across flushes so no session is systematically first.
@@ -209,8 +207,8 @@ void ServiceContext::flush_locked(const ControlMessage* sync) {
     while (remaining > 0) {
       for (std::size_t i = 0; i < order.size() && remaining > 0; ++i) {
         SessionState& st = *order[(start + i) % order.size()];
-        for (std::size_t k = 0;
-             k < opts_.session_quantum && !st.queue.empty(); ++k) {
+        for (std::size_t k = 0; k < kSessionQuantum && !st.queue.empty();
+             ++k) {
           wire.push_back(st.queue.front());
           st.queue.pop_front();
           --remaining;
@@ -285,11 +283,11 @@ void ServiceContext::shutdown() {
   require(is_driver(), "ServiceContext: shutdown is driver-side only");
   std::lock_guard<std::mutex> lock(mu_);
   flush_locked();
-  driver_.shutdown();
-  // The control plane is gone; surviving Session handles become no-ops
-  // instead of retrying closes against workers that have exited.
+  // The control plane goes with the shutdown (even one that reports a dead
+  // worker); surviving Session handles become no-ops instead of retrying
+  // closes against workers that have exited.
   sessions_.clear();
-  queued_total_ = 0;
+  driver_.shutdown();
 }
 
 std::size_t ServiceContext::open_sessions() const {

@@ -15,7 +15,8 @@
 //    overflow the policy is shed (QueueFullError, the op never queued) or
 //    park (the submitting thread drains the backlog itself, then queues) —
 //    either way a flooding session cannot starve the others, because
-//    dispatch drains queues round-robin with a bounded per-session quantum.
+//    dispatch drains queues round-robin, kSessionQuantum messages per
+//    session per turn.
 //  - Coalescing: submissions buffer locally and ship as one sequenced
 //    payload per worker when a size window (batch_messages) or time window
 //    (batch_window) fills — the paper's "several messages can be buffered
@@ -60,8 +61,6 @@ struct ServiceOptions {
   /// batch_window (checked at submit time — caller-runs, no timer thread).
   std::chrono::microseconds batch_window{200};
   std::size_t batch_messages = 64;
-  /// Max messages drained from one session per round-robin turn.
-  std::size_t session_quantum = 16;
 };
 
 class ServiceContext;
@@ -125,7 +124,9 @@ class ServiceContext {
   /// Driver side: open a new session (thread-safe).
   Session open_session();
 
-  /// Flush every queue, then ship shutdown to the workers.
+  /// Flush every queue, then ship shutdown to the workers. Once the
+  /// shutdown ships, surviving Session handles are invalid (their close is
+  /// a no-op), also when it reports a dead worker.
   void shutdown();
 
   // ---- introspection (tests, bench assertions) --------------------------
@@ -162,6 +163,9 @@ class ServiceContext {
   double reduce(std::int32_t sid, int a);
   void flush_session(std::int32_t sid);
   void close_session(std::int32_t sid);
+
+  /// Max messages drained from one session per round-robin turn.
+  static constexpr std::size_t kSessionQuantum = 16;
 
   ServiceOptions opts_;
   DriverContext driver_;

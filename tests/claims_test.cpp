@@ -1,11 +1,10 @@
-// Exact counter claims of the control plane (EXPERIMENTS.md E13 and E19),
-// pinned on small worlds. Registered under the `claims` CTest label:
-// `ctest -L claims`.
+// Exact counter claims (EXPERIMENTS.md E7, E13 and E19), pinned on small
+// worlds. Registered under the `claims` CTest label: `ctest -L claims`.
 //
-// The worlds keep the library's wire protocol and lengthen only the ack,
-// reply and coalescing time windows, so a host stall can fire neither a
-// retransmission nor a time-window flush mid-count: the counts below are
-// then exact.
+// The control-plane worlds keep the library's wire protocol and lengthen
+// only the ack, reply and coalescing time windows, so a host stall can fire
+// neither a retransmission nor a time-window flush mid-count: the counts
+// below are then exact.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -13,11 +12,16 @@
 #include <vector>
 
 #include "comm/runner.hpp"
-#include "odin/driver.hpp"
+#include "galeri/gallery.hpp"
 #include "odin/service.hpp"
+#include "precond/amg.hpp"
+#include "solvers/krylov.hpp"
 
 namespace pc = pyhpc::comm;
+namespace gl = pyhpc::galeri;
 namespace od = pyhpc::odin;
+namespace pp = pyhpc::precond;
+namespace sv = pyhpc::solvers;
 
 using namespace std::chrono_literals;
 
@@ -78,26 +82,6 @@ TEST(ServiceClaims, RoundShipsOnePayloadPerWorker) {
   });
 }
 
-// A reduce in DriverContext's batching mode ships at the batch's tail.
-TEST(ServiceClaims, BatchedDriverReduceShipsOnePayloadPerWorker) {
-  pc::run(3, [](pc::Communicator& comm) {
-    od::DriverContext ctx(comm, stall_proof(od::ServiceOptions{}).driver);
-    if (!ctx.is_driver()) {
-      ctx.worker_loop();
-      return;
-    }
-    ctx.begin_batch();
-    const int a = ctx.create_full(50, 2.0);
-    const int b = ctx.axpy(3.0, a, a);
-    EXPECT_EQ(ctx.payloads_sent(), 0u);
-    EXPECT_DOUBLE_EQ(ctx.reduce_sum(b), 50 * 8.0);
-    EXPECT_FALSE(ctx.batching());
-    EXPECT_EQ(ctx.payloads_sent(), 2u);  // one payload x two workers
-    EXPECT_EQ(ctx.control_messages_sent(), 2u * 3u);
-    ctx.shutdown();
-  });
-}
-
 // A close flushes its session's backlog with the close at the tail.
 TEST(ServiceClaims, SessionCloseShipsOnePayloadPerWorker) {
   od::ServiceOptions opts = stall_proof(od::ServiceOptions{});
@@ -153,5 +137,37 @@ TEST(ServiceClaims, CoalescingStreamPayloads) {
     });
     EXPECT_EQ(messages, 64u) << "window " << window;
     EXPECT_EQ(payloads, window == 1 ? 192u : 3u) << "window " << window;
+  }
+}
+
+// E7: CG on the g x g 2D Laplacian with the right-hand side of the all-ones
+// solution, on 2 ranks. Unpreconditioned iterations about double with g;
+// AMG holds them nearly flat. bench_e7_solvers reads the same counts.
+TEST(SolverClaims, CgIterationsGrowWithTheGridAndAmgHoldsThemFlat) {
+  struct Case {
+    gl::GO grid;
+    int plain;
+    int amg;
+  };
+  for (const Case c : {Case{16, 29, 10}, Case{32, 62, 10}, Case{64, 122, 11}}) {
+    int plain = -1, amg = -1;
+    pc::run(2, [&](pc::Communicator& comm) {
+      const auto a = gl::laplace2d(comm, c.grid, c.grid);
+      const auto b = gl::rhs_for_ones(a);
+      sv::KrylovOptions opt;
+      opt.max_iterations = 5000;
+      gl::Vector x(a.domain_map(), 0.0);
+      const auto r0 = sv::cg_solve(a, b, x, opt);
+      const pp::AmgPreconditioner m(a);
+      gl::Vector y(a.domain_map(), 0.0);
+      const auto r1 = sv::cg_solve(a, b, y, opt, &m);
+      EXPECT_TRUE(r0.converged && r1.converged);
+      if (comm.rank() == 0) {
+        plain = r0.iterations;
+        amg = r1.iterations;
+      }
+    });
+    EXPECT_EQ(plain, c.plain) << "grid " << c.grid;
+    EXPECT_EQ(amg, c.amg) << "grid " << c.grid;
   }
 }

@@ -1,8 +1,8 @@
 // Fault-injection and failure-containment tests: deterministic drop /
 // delay / duplicate / corrupt / kill-rank injection, receive deadlines,
 // the deadlock watchdog, and the hardened ODIN driver protocol
-// (seq/ack/retry, WorkerLostError). Registered under the `faults` CTest
-// label: `ctest -L faults`.
+// (seq/ack/retry, WorkerLostError) driven through service sessions.
+// Registered under the `faults` CTest label: `ctest -L faults`.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,7 +17,7 @@
 #include "comm/message.hpp"
 #include "comm/runner.hpp"
 #include "obs/metrics.hpp"
-#include "odin/driver.hpp"
+#include "odin/service.hpp"
 #include "util/error.hpp"
 
 namespace pc = pyhpc::comm;
@@ -364,16 +364,19 @@ TEST(MailboxAccounting, HighWaterMarkReachesStats) {
 }
 
 // ---------------------------------------------------------------------------
-// Hardened ODIN driver protocol
+// Hardened ODIN driver protocol, driven through service sessions
 // ---------------------------------------------------------------------------
 
 namespace {
 
-od::DriverOptions fast_driver_options() {
-  od::DriverOptions opts;
-  opts.ack_timeout = 60ms;
-  opts.max_retries = 12;
-  opts.reply_timeout = 1000ms;
+// `batch_messages = 1` ships every op as its own payload, so the seeded
+// schedules below count payloads exactly as a per-op driver would.
+od::ServiceOptions fast_service_options() {
+  od::ServiceOptions opts;
+  opts.driver.ack_timeout = 60ms;
+  opts.driver.max_retries = 12;
+  opts.driver.reply_timeout = 1000ms;
+  opts.batch_messages = 1;
   return opts;
 }
 
@@ -389,20 +392,21 @@ TEST(DriverFaults, HundredOpsCompleteThroughFivePercentDrops) {
   inj->add_rule(rule);
   const auto stats =
       pc::run_with_stats(4, config_with(inj), [](pc::Communicator& comm) {
-        od::DriverContext ctx(comm, fast_driver_options());
-        if (!ctx.is_driver()) {
-          ctx.worker_loop();
+        od::ServiceContext svc(comm, fast_service_options());
+        if (!svc.is_driver()) {
+          svc.worker_loop();
           return;
         }
+        od::Session s = svc.open_session();
         // 100 ops: one create + 99 chained axpys (v <- v + ones).
         const std::int64_t n = 300;
-        const int ones = ctx.create_full(n, 1.0);
+        const int ones = s.create_full(n, 1.0);
         int cur = ones;
-        for (int i = 0; i < 99; ++i) cur = ctx.axpy(1.0, cur, ones);
+        for (int i = 0; i < 99; ++i) cur = s.axpy(1.0, cur, ones);
         // Every element is exactly 100.0 iff no op was lost.
-        EXPECT_NEAR(ctx.reduce_sum(cur), 100.0 * static_cast<double>(n),
+        EXPECT_NEAR(s.reduce_sum(cur), 100.0 * static_cast<double>(n),
                     1e-9);
-        ctx.shutdown();
+        svc.shutdown();
       });
   EXPECT_GT(inj->counts().drops, 0u);
   EXPECT_GT(stats.retries, 0u);
@@ -420,19 +424,20 @@ TEST(DriverFaults, CorruptedControlPayloadsAreDiscardedAndRetried) {
   inj->add_rule(rule);
   const auto stats =
       pc::run_with_stats(3, config_with(inj), [](pc::Communicator& comm) {
-        od::DriverContext ctx(comm, fast_driver_options());
-        if (!ctx.is_driver()) {
-          ctx.worker_loop();
+        od::ServiceContext svc(comm, fast_service_options());
+        if (!svc.is_driver()) {
+          svc.worker_loop();
           return;
         }
+        od::Session s = svc.open_session();
         const std::int64_t n = 100;
-        const int x = ctx.create_full(n, 2.0);
+        const int x = s.create_full(n, 2.0);
         int cur = x;
-        for (int i = 0; i < 40; ++i) cur = ctx.unary("sqrt", cur);
+        for (int i = 0; i < 40; ++i) cur = s.unary("sqrt", cur);
         // 2^(1/2^40) ~= 1.0; the exact value matters less than that every
         // op executed exactly once on every worker.
-        EXPECT_NEAR(ctx.reduce_sum(cur), static_cast<double>(n), 1e-6);
-        ctx.shutdown();
+        EXPECT_NEAR(s.reduce_sum(cur), static_cast<double>(n), 1e-6);
+        svc.shutdown();
       });
   EXPECT_GT(inj->counts().corruptions, 0u);
   EXPECT_GT(stats.corruption_detected, 0u);
@@ -448,19 +453,20 @@ TEST(DriverFaults, DuplicatedPayloadsExecuteOnce) {
   rule.probability = 0.2;
   inj->add_rule(rule);
   pc::run(3, config_with(inj), [](pc::Communicator& comm) {
-    od::DriverContext ctx(comm, fast_driver_options());
-    if (!ctx.is_driver()) {
-      ctx.worker_loop();
+    od::ServiceContext svc(comm, fast_service_options());
+    if (!svc.is_driver()) {
+      svc.worker_loop();
       return;
     }
+    od::Session s = svc.open_session();
     const std::int64_t n = 120;
-    const int ones = ctx.create_full(n, 1.0);
+    const int ones = s.create_full(n, 1.0);
     int cur = ones;
     // axpy is not idempotent: if a duplicate executed twice the sum would
     // drift from the exact expected value.
-    for (int i = 0; i < 30; ++i) cur = ctx.axpy(1.0, cur, ones);
-    EXPECT_NEAR(ctx.reduce_sum(cur), 31.0 * static_cast<double>(n), 1e-9);
-    ctx.shutdown();
+    for (int i = 0; i < 30; ++i) cur = s.axpy(1.0, cur, ones);
+    EXPECT_NEAR(s.reduce_sum(cur), 31.0 * static_cast<double>(n), 1e-9);
+    svc.shutdown();
   });
   EXPECT_GT(inj->counts().duplicates, 0u);
 }
@@ -477,17 +483,18 @@ TEST(DriverFaults, WorkerDeathMidBatchRaisesWorkerLost) {
   inj->add_rule(rule);
   try {
     pc::run(4, config_with(inj), [](pc::Communicator& comm) {
-      od::DriverContext ctx(comm, fast_driver_options());
-      if (!ctx.is_driver()) {
-        ctx.worker_loop();
+      od::ServiceContext svc(comm, fast_service_options());
+      if (!svc.is_driver()) {
+        svc.worker_loop();
         return;
       }
-      const int a = ctx.create_full(90, 1.0);
-      const int b = ctx.create_full(90, 2.0);
+      od::Session s = svc.open_session();
+      const int a = s.create_full(90, 1.0);
+      const int b = s.create_full(90, 2.0);
       int cur = a;
       for (int i = 0; i < 10; ++i) {
-        cur = ctx.axpy(1.0, cur, b);
-        (void)ctx.reduce_sum(cur);
+        cur = s.axpy(1.0, cur, b);
+        (void)s.reduce_sum(cur);
       }
       FAIL() << "expected WorkerLostError";
     });
@@ -509,39 +516,37 @@ TEST(DriverFaults, ShutdownReportsDeadWorkerButReachesLiveOnes) {
   rule.skip_first = 1;
   rule.max_applications = 1;
   inj->add_rule(rule);
+  std::atomic<bool> rank2_shut_down{false};
   try {
-    pc::run(3, config_with(inj), [](pc::Communicator& comm) {
-      od::DriverContext ctx(comm, fast_driver_options());
-      if (!ctx.is_driver()) {
-        ctx.worker_loop();
+    pc::run(3, config_with(inj), [&](pc::Communicator& comm) {
+      od::ServiceContext svc(comm, fast_service_options());
+      if (!svc.is_driver()) {
+        svc.worker_loop();  // returns only on a delivered kShutdown
+        if (comm.rank() == 2) rank2_shut_down = true;
         return;
       }
-      (void)ctx.create_full(50, 1.0);  // payload 1: delivered everywhere
+      od::Session s = svc.open_session();
+      (void)s.create_full(50, 1.0);  // payload 1: delivered everywhere
       try {
-        (void)ctx.create_full(50, 2.0);  // payload 2 kills rank 1
+        (void)s.create_full(50, 2.0);  // payload 2 kills rank 1
       } catch (const pyhpc::WorkerLostError&) {
         // Expected on the ack wait; shutdown must still work for rank 2.
       }
-      ctx.shutdown();
+      try {
+        svc.shutdown();
+      } catch (const pyhpc::WorkerLostError&) {
+        // The control plane is gone: `s` closes as a no-op, shipping
+        // nothing to workers that have left their loops.
+        EXPECT_EQ(svc.open_sessions(), 0u);
+        throw;
+      }
     });
     FAIL() << "expected WorkerLostError from shutdown";
   } catch (const pyhpc::WorkerLostError& e) {
     EXPECT_NE(std::string(e.what()).find("worker rank 1"), std::string::npos)
         << e.what();
   }
-}
-
-TEST(DriverFaults, LegacyModeStillWorksUnchanged) {
-  pc::run(3, [](pc::Communicator& comm) {
-    od::DriverContext ctx(comm);  // fire-and-forget control plane
-    if (!ctx.is_driver()) {
-      ctx.worker_loop();
-      return;
-    }
-    const int x = ctx.create_full(60, 3.0);
-    EXPECT_NEAR(ctx.reduce_sum(x), 180.0, 1e-9);
-    ctx.shutdown();
-  });
+  EXPECT_TRUE(rank2_shut_down);
 }
 
 TEST(DriverFaults, CombinedDuplicateAndCorruptScheduleStaysExact) {
@@ -562,19 +567,20 @@ TEST(DriverFaults, CombinedDuplicateAndCorruptScheduleStaysExact) {
   inj->add_rule(corrupt);
   const auto stats =
       pc::run_with_stats(4, config_with(inj), [](pc::Communicator& comm) {
-        od::DriverContext ctx(comm, fast_driver_options());
-        if (!ctx.is_driver()) {
-          ctx.worker_loop();
+        od::ServiceContext svc(comm, fast_service_options());
+        if (!svc.is_driver()) {
+          svc.worker_loop();
           return;
         }
+        od::Session s = svc.open_session();
         const std::int64_t n = 240;
-        const int ones = ctx.create_full(n, 1.0);
+        const int ones = s.create_full(n, 1.0);
         int cur = ones;
         // Non-idempotent chain: a double-executed duplicate or a silently
         // accepted corruption would shift the exact sum.
-        for (int i = 0; i < 50; ++i) cur = ctx.axpy(1.0, cur, ones);
-        EXPECT_NEAR(ctx.reduce_sum(cur), 51.0 * static_cast<double>(n), 1e-9);
-        ctx.shutdown();
+        for (int i = 0; i < 50; ++i) cur = s.axpy(1.0, cur, ones);
+        EXPECT_NEAR(s.reduce_sum(cur), 51.0 * static_cast<double>(n), 1e-9);
+        svc.shutdown();
       });
   EXPECT_GT(inj->counts().duplicates, 0u);
   EXPECT_GT(inj->counts().corruptions, 0u);
@@ -609,16 +615,17 @@ TEST(DriverFaults, WorkerDeathUnderCombinedScheduleStillRaisesWorkerLost) {
   inj->add_rule(kill);
   try {
     pc::run(4, config_with(inj), [](pc::Communicator& comm) {
-      od::DriverContext ctx(comm, fast_driver_options());
-      if (!ctx.is_driver()) {
-        ctx.worker_loop();
+      od::ServiceContext svc(comm, fast_service_options());
+      if (!svc.is_driver()) {
+        svc.worker_loop();
         return;
       }
-      const int ones = ctx.create_full(80, 1.0);
+      od::Session s = svc.open_session();
+      const int ones = s.create_full(80, 1.0);
       int cur = ones;
       for (int i = 0; i < 20; ++i) {
-        cur = ctx.axpy(1.0, cur, ones);
-        (void)ctx.reduce_sum(cur);
+        cur = s.axpy(1.0, cur, ones);
+        (void)s.reduce_sum(cur);
       }
       FAIL() << "expected WorkerLostError";
     });
@@ -631,73 +638,18 @@ TEST(DriverFaults, WorkerDeathUnderCombinedScheduleStillRaisesWorkerLost) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch guard: begin_batch/flush_batch exception safety (PR 8 bugfix)
-// ---------------------------------------------------------------------------
-
-TEST(DriverBatchGuard, AbandonedBatchIsDiscardedOnUnwind) {
-  // Pre-fix, a throw between begin_batch and flush_batch left the queued
-  // messages buffered AND batching mode on: the stale messages shipped out
-  // of order with the next unrelated traffic. Here the abandoned message
-  // is a kFree of a live array — if it leaked into the next flush, the
-  // reduce below would run on a destroyed segment instead of summing 60.
-  pc::run(3, [](pc::Communicator& comm) {
-    od::DriverContext ctx(comm, fast_driver_options());
-    if (!ctx.is_driver()) {
-      ctx.worker_loop();
-      return;
-    }
-    const int keep = ctx.create_full(60, 1.0);
-    try {
-      od::BatchGuard guard(ctx);
-      ctx.free_array(keep);  // queued, not yet shipped
-      throw std::runtime_error("client failure mid-batch");
-      // guard.flush() is never reached.
-    } catch (const std::runtime_error&) {
-    }
-    EXPECT_FALSE(ctx.batching());
-    const int doubled = ctx.axpy(1.0, keep, keep);
-    EXPECT_NEAR(ctx.reduce_sum(keep), 60.0, 1e-9);
-    EXPECT_NEAR(ctx.reduce_sum(doubled), 120.0, 1e-9);
-    ctx.shutdown();
-  });
-}
-
-TEST(DriverBatchGuard, FlushShipsExactlyOnceAndIsIdempotent) {
-  pc::run(3, [](pc::Communicator& comm) {
-    od::DriverContext ctx(comm, fast_driver_options());
-    if (!ctx.is_driver()) {
-      ctx.worker_loop();
-      return;
-    }
-    int sum_id = -1;
-    {
-      od::BatchGuard guard(ctx);
-      const int a = ctx.create_full(50, 2.0);
-      const int b = ctx.create_full(50, 3.0);
-      sum_id = ctx.axpy(1.0, a, b);
-      EXPECT_EQ(ctx.payloads_sent(), 0u);  // everything still queued
-      guard.flush();
-      guard.flush();  // idempotent: no second payload
-      EXPECT_EQ(ctx.payloads_sent(), 2u);  // one payload x two workers
-    }
-    EXPECT_NEAR(ctx.reduce_sum(sum_id), 250.0, 1e-9);
-    ctx.shutdown();
-  });
-}
-
-// ---------------------------------------------------------------------------
 // Driver epochs: fresh contexts over a reused comm (PR 8 bugfix)
 // ---------------------------------------------------------------------------
 
 TEST(DriverFaults, FreshDriverEpochNotPoisonedByStaleDuplicates) {
-  // An injected duplicate of the FIRST context's shutdown payload stays in
+  // An injected duplicate of the FIRST service's shutdown payload stays in
   // the worker's mailbox after its loop exits. Pre-fix, the SECOND
-  // DriverContext's worker loop received that stale payload first, saw a
+  // service's worker loop received that stale payload first, saw a
   // sequence number above its fresh last_seq_, and executed it — a stale
   // kShutdown that killed the new worker loop before the new driver's
   // payloads arrived (and for non-shutdown ops, silently bumped last_seq_
   // so the new driver's early payloads were re-acked WITHOUT executing).
-  // Post-fix the payload carries epoch 0, the new context runs epoch 1,
+  // Post-fix the payload carries epoch 0, the new service runs epoch 1,
   // and the worker discards it without touching its dedup state.
   auto inj = std::make_shared<pc::FaultInjector>(11);
   pc::FaultRule dup;
@@ -709,30 +661,32 @@ TEST(DriverFaults, FreshDriverEpochNotPoisonedByStaleDuplicates) {
   dup.max_applications = 1; // ...payload 2 (shutdown) is duplicated
   inj->add_rule(dup);
   pc::run(2, config_with(inj), [](pc::Communicator& comm) {
-    od::DriverOptions gen0 = fast_driver_options();
-    gen0.epoch = 0;
-    od::DriverContext ctx1(comm, gen0);
-    if (!ctx1.is_driver()) {
-      ctx1.worker_loop();
+    od::ServiceOptions gen0 = fast_service_options();
+    gen0.driver.epoch = 0;
+    od::ServiceContext svc1(comm, gen0);
+    if (!svc1.is_driver()) {
+      svc1.worker_loop();
     } else {
-      (void)ctx1.create_full(40, 1.0);
-      ctx1.shutdown();
+      od::Session s = svc1.open_session();
+      (void)s.create_full(40, 1.0);
+      svc1.shutdown();  // invalidates `s`: no close payload follows
     }
 
     // Same comm, next driver generation. The stale duplicate of the
     // epoch-0 shutdown is still queued on the worker.
-    od::DriverOptions gen1 = fast_driver_options();
-    gen1.epoch = 1;
-    od::DriverContext ctx2(comm, gen1);
-    if (!ctx2.is_driver()) {
-      ctx2.worker_loop();
+    od::ServiceOptions gen1 = fast_service_options();
+    gen1.driver.epoch = 1;
+    od::ServiceContext svc2(comm, gen1);
+    if (!svc2.is_driver()) {
+      svc2.worker_loop();
       return;
     }
-    const int x = ctx2.create_full(40, 2.0);
-    const int y = ctx2.axpy(3.0, x, x);  // 3*2 + 2 = 8 per element
-    EXPECT_NEAR(ctx2.reduce_sum(x), 80.0, 1e-9);
-    EXPECT_NEAR(ctx2.reduce_sum(y), 320.0, 1e-9);
-    ctx2.shutdown();
+    od::Session s = svc2.open_session();
+    const int x = s.create_full(40, 2.0);
+    const int y = s.axpy(3.0, x, x);  // 3*2 + 2 = 8 per element
+    EXPECT_NEAR(s.reduce_sum(x), 80.0, 1e-9);
+    EXPECT_NEAR(s.reduce_sum(y), 320.0, 1e-9);
+    svc2.shutdown();
   });
   EXPECT_EQ(inj->counts().duplicates, 1u);
   EXPECT_GE(pyhpc::obs::MetricsRegistry::global().value(
@@ -753,19 +707,20 @@ TEST(DriverFaults, SequentialEpochsOverOneCommStayExact) {
   inj->add_rule(dup);
   pc::run(3, config_with(inj), [](pc::Communicator& comm) {
     for (std::uint64_t epoch = 0; epoch < 3; ++epoch) {
-      od::DriverOptions opts = fast_driver_options();
-      opts.epoch = epoch;
-      od::DriverContext ctx(comm, opts);
-      if (!ctx.is_driver()) {
-        ctx.worker_loop();
+      od::ServiceOptions opts = fast_service_options();
+      opts.driver.epoch = epoch;
+      od::ServiceContext svc(comm, opts);
+      if (!svc.is_driver()) {
+        svc.worker_loop();
         continue;
       }
-      const int ones = ctx.create_full(90, 1.0);
+      od::Session s = svc.open_session();
+      const int ones = s.create_full(90, 1.0);
       int cur = ones;
-      for (int i = 0; i < 10; ++i) cur = ctx.axpy(1.0, cur, ones);
-      EXPECT_NEAR(ctx.reduce_sum(cur), 11.0 * 90.0, 1e-9)
+      for (int i = 0; i < 10; ++i) cur = s.axpy(1.0, cur, ones);
+      EXPECT_NEAR(s.reduce_sum(cur), 11.0 * 90.0, 1e-9)
           << "epoch " << epoch;
-      ctx.shutdown();
+      svc.shutdown();
     }
   });
 }
@@ -780,22 +735,19 @@ TEST(DriverEmptyPayload, EmptyShipBatchIsANoOp) {
   // data() of an empty region — the UB class fixed for the p2p decode
   // paths in earlier PRs).
   pc::run(3, [](pc::Communicator& comm) {
-    od::DriverContext ctx(comm, fast_driver_options());
-    if (!ctx.is_driver()) {
-      ctx.worker_loop();
+    od::ServiceContext svc(comm, fast_service_options());
+    if (!svc.is_driver()) {
+      svc.worker_loop();
       return;
     }
-    ctx.ship_batch({});
-    EXPECT_EQ(ctx.payloads_sent(), 0u);
-    // An empty flush is equally a no-op.
-    ctx.begin_batch();
-    ctx.flush_batch();
-    EXPECT_EQ(ctx.payloads_sent(), 0u);
+    svc.driver().ship_batch({});
+    EXPECT_EQ(svc.driver().payloads_sent(), 0u);
     // And the protocol is undisturbed: the next real op is sequenced from
     // scratch and exact.
-    const int x = ctx.create_full(30, 5.0);
-    EXPECT_NEAR(ctx.reduce_sum(x), 150.0, 1e-9);
-    ctx.shutdown();
+    od::Session s = svc.open_session();
+    const int x = s.create_full(30, 5.0);
+    EXPECT_NEAR(s.reduce_sum(x), 150.0, 1e-9);
+    svc.shutdown();
   });
 }
 
@@ -806,15 +758,16 @@ TEST(DriverEmptyPayload, EmptyUfuncNameIsContainedNotFatal) {
   const double before =
       pyhpc::obs::MetricsRegistry::global().value("driver.worker_op_errors");
   pc::run(3, [](pc::Communicator& comm) {
-    od::DriverContext ctx(comm, fast_driver_options());
-    if (!ctx.is_driver()) {
-      ctx.worker_loop();
+    od::ServiceContext svc(comm, fast_service_options());
+    if (!svc.is_driver()) {
+      svc.worker_loop();
       return;
     }
-    const int x = ctx.create_full(30, 4.0);
-    (void)ctx.unary("", x);  // executes (and fails) on the workers
-    EXPECT_NEAR(ctx.reduce_sum(x), 120.0, 1e-9);  // loop still alive
-    ctx.shutdown();
+    od::Session s = svc.open_session();
+    const int x = s.create_full(30, 4.0);
+    (void)s.unary("", x);  // executes (and fails) on the workers
+    EXPECT_NEAR(s.reduce_sum(x), 120.0, 1e-9);  // loop still alive
+    svc.shutdown();
   });
   EXPECT_GE(pyhpc::obs::MetricsRegistry::global().value(
                 "driver.worker_op_errors"),

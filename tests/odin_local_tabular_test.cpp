@@ -3,14 +3,15 @@
 // driver/worker mode.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 
 #include "comm/runner.hpp"
-#include "odin/driver.hpp"
 #include "odin/interop.hpp"
 #include "odin/io.hpp"
 #include "odin/local.hpp"
+#include "odin/service.hpp"
 #include "odin/tabular.hpp"
 #include "odin/ufunc.hpp"
 
@@ -404,6 +405,29 @@ TEST_P(IoSweep, TwoDimensionalRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(Io, RewritingAPathNeverTruncatesUnderAReader) {
+  // Rank 0 owns one element and ranks 1-2 own 2e6 each, so rank 0 reaches
+  // the next write of the path long before the others finish reading the
+  // last one. Its truncating open must wait for them: truncating early
+  // made them read zeros (the pre-size write re-extends the file, so the
+  // read is not even short).
+  const std::string path = "/tmp/pyhpc_odin_io5.bin";
+  pc::run(3, [&](pc::Communicator& comm) {
+    const std::vector<index_t> sizes{1, 2000000, 2000000};
+    auto dist =
+        od::Distribution::explicit_block(comm, od::Shape({4000001}), 0, sizes);
+    for (int it = 0; it < 10; ++it) {
+      const double v = 1.0 + it;
+      od::write_distributed(Arr::full(dist, v), path);
+      const auto back = od::read_distributed(dist, path);
+      std::size_t wrong = 0;
+      for (double x : back.local_view()) wrong += (x != v);
+      EXPECT_EQ(wrong, 0u) << "rank " << comm.rank() << " iteration " << it;
+    }
+  });
+  std::remove(path.c_str());
+}
+
 TEST(Io, ShapeMismatchRejected) {
   const std::string path = "/tmp/pyhpc_odin_io4.bin";
   pc::run(2, [&](pc::Communicator& comm) {
@@ -473,75 +497,100 @@ TEST(Interop, TwoDimensionalArrayRejected) {
 // Fig-1 driver/worker mode
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// A 1 driver + (P-1) worker service; `batch_messages = 1` ships every op
+// as its own payload, the paper's unbatched dispatch.
+od::ServiceOptions per_op_dispatch() {
+  od::ServiceOptions opts;
+  opts.batch_messages = 1;
+  return opts;
+}
+
+}  // namespace
+
 class DriverSweep : public ::testing::TestWithParam<int> {};
 INSTANTIATE_TEST_SUITE_P(Workers, DriverSweep, ::testing::Values(2, 3, 5));
 
 TEST_P(DriverSweep, DriverComputesThroughControlMessages) {
   pc::run(GetParam(), [](pc::Communicator& comm) {
-    od::DriverContext ctx(comm);
-    if (!ctx.is_driver()) {
-      ctx.worker_loop();
+    od::ServiceContext svc(comm, per_op_dispatch());
+    if (!svc.is_driver()) {
+      svc.worker_loop();
       return;
     }
+    od::Session s = svc.open_session();
     const std::int64_t n = 1000;
-    const int x = ctx.create_full(n, 3.0);
-    const int y = ctx.create_full(n, 4.0);
-    const int h = ctx.binary("hypot", x, y);
-    EXPECT_NEAR(ctx.reduce_sum(h), 5.0 * static_cast<double>(n), 1e-9);
-    const int s = ctx.unary("sqrt", x);
-    EXPECT_NEAR(ctx.reduce_sum(s), std::sqrt(3.0) * static_cast<double>(n),
+    const int x = s.create_full(n, 3.0);
+    const int y = s.create_full(n, 4.0);
+    const int h = s.binary("hypot", x, y);
+    EXPECT_NEAR(s.reduce_sum(h), 5.0 * static_cast<double>(n), 1e-9);
+    const int r = s.unary("sqrt", x);
+    EXPECT_NEAR(s.reduce_sum(r), std::sqrt(3.0) * static_cast<double>(n),
                 1e-9);
-    const int z = ctx.axpy(2.0, x, y);  // 2*3 + 4 = 10
-    EXPECT_NEAR(ctx.reduce_sum(z), 10.0 * static_cast<double>(n), 1e-9);
-    ctx.free_array(h);
-    ctx.shutdown();
+    const int z = s.axpy(2.0, x, y);  // 2*3 + 4 = 10
+    EXPECT_NEAR(s.reduce_sum(z), 10.0 * static_cast<double>(n), 1e-9);
+    s.free_array(h);
+    s.close();
+    svc.shutdown();
   });
 }
 
 TEST_P(DriverSweep, ControlMessagesStayTensOfBytes) {
   pc::run(GetParam(), [](pc::Communicator& comm) {
-    od::DriverContext ctx(comm);
-    if (!ctx.is_driver()) {
-      ctx.worker_loop();
+    od::ServiceContext svc(comm, per_op_dispatch());
+    if (!svc.is_driver()) {
+      svc.worker_loop();
       return;
     }
+    od::Session s = svc.open_session();
+    const auto& driver = svc.driver();
     // The paper: "the only communication from the top-level node is a
-    // short message, at most tens of bytes" — independent of n.
-    for (std::int64_t n : {std::int64_t{100}, std::int64_t{100000}}) {
-      const auto before = ctx.control_bytes_sent();
-      (void)ctx.create_full(n, 1.0);
+    // short message, at most tens of bytes" — one 48-byte ControlMessage
+    // per worker, whatever n is.
+    static_assert(sizeof(od::ControlMessage) == 48);
+    for (std::int64_t n : {std::int64_t{100}, std::int64_t{100000},
+                           std::int64_t{1000000}}) {
+      const auto before = driver.control_bytes_sent();
+      (void)s.create_full(n, 1.0);
       const auto per_worker =
-          (ctx.control_bytes_sent() - before) /
-          static_cast<std::uint64_t>(ctx.num_workers());
-      EXPECT_LE(per_worker, 48u);
+          (driver.control_bytes_sent() - before) /
+          static_cast<std::uint64_t>(svc.num_workers());
+      EXPECT_EQ(per_worker, sizeof(od::ControlMessage)) << "n = " << n;
     }
-    ctx.shutdown();
+    s.close();
+    svc.shutdown();
   });
 }
 
 TEST_P(DriverSweep, BatchingCoalescesPayloads) {
   pc::run(GetParam(), [](pc::Communicator& comm) {
-    od::DriverContext ctx(comm);
-    if (!ctx.is_driver()) {
-      ctx.worker_loop();
+    od::ServiceOptions opts;
+    opts.batch_window = std::chrono::seconds(10);  // only flush() ships
+    od::ServiceContext svc(comm, opts);
+    if (!svc.is_driver()) {
+      svc.worker_loop();
       return;
     }
-    const int a = ctx.create_full(50, 1.0);
-    const auto payloads_before = ctx.payloads_sent();
-    ctx.begin_batch();
+    od::Session s = svc.open_session();
+    const int a = s.create_full(50, 1.0);
+    s.flush();
+    const auto payloads_before = svc.driver().payloads_sent();
     int cur = a;
-    for (int i = 0; i < 10; ++i) cur = ctx.unary("sqrt", cur);
-    ctx.flush_batch();
+    for (int i = 0; i < 10; ++i) cur = s.unary("sqrt", cur);
+    s.flush();
     // 10 messages, one payload per worker.
-    EXPECT_EQ(ctx.payloads_sent() - payloads_before,
-              static_cast<std::uint64_t>(ctx.num_workers()));
-    EXPECT_NEAR(ctx.reduce_sum(cur), 50.0, 1e-9);
-    ctx.shutdown();
+    EXPECT_EQ(svc.driver().payloads_sent() - payloads_before,
+              static_cast<std::uint64_t>(svc.num_workers()));
+    EXPECT_NEAR(s.reduce_sum(cur), 50.0, 1e-9);
+    s.close();
+    svc.shutdown();
   });
 }
 
 TEST(Driver, RequiresAWorker) {
   pc::run(1, [](pc::Communicator& comm) {
-    EXPECT_THROW(od::DriverContext ctx(comm), pyhpc::InvalidArgument);
+    EXPECT_THROW(od::ServiceContext svc(comm, od::ServiceOptions{}),
+                 pyhpc::InvalidArgument);
   });
 }

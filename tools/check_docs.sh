@@ -15,6 +15,11 @@
 #      every PYHPC_* variable §9 lists as "(environment)" is read by src/ —
 #      adding a knob without documenting it, or deleting one and leaving
 #      its docs behind, fails the gate.
+#   5. Config structs match README's "Runtime knobs" table both ways: every
+#      data member of comm::CommConfig, odin::DriverOptions and
+#      odin::ServiceOptions appears there as `Struct::field`, and every
+#      `Struct::field` the table names for those structs exists — a row
+#      left behind for a deleted field fails the gate.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -98,6 +103,48 @@ for var in $listed_vars; do
     echo "STALE KNOB: DESIGN.md §9 lists $var but nothing in src/ reads it"
     fail=1
   fi
+done
+
+# README's "## Runtime knobs" section, up to the next "## " heading.
+knob_table="$(awk '/^## Runtime knobs/ { in_sec = 1; next }
+                   in_sec && /^## / { exit } in_sec' "$README")"
+if [ -z "$knob_table" ]; then
+  echo "MISSING SECTION: README.md has no \"Runtime knobs\" table"
+  fail=1
+fi
+# Data members of `struct <name> {` ... `};` in <header>: non-comment lines
+# that end a declaration and call nothing; the name is the last word before
+# any initializer.
+struct_fields() {
+  awk -v open="struct $1 {" '$0 == open { in_s = 1; next }
+                              in_s && /^};/ { exit } in_s' "$2" \
+    | grep -vE '^[[:space:]]*//' | grep -E ';[[:space:]]*$' | grep -v '(' \
+    | sed -E 's/[[:space:]]*(=|\{).*$//; s/;.*$//' | awk '{ print $NF }' \
+    | sort -u
+}
+for spec in CommConfig:src/comm/config.hpp DriverOptions:src/odin/driver.hpp \
+            ServiceOptions:src/odin/service.hpp; do
+  name="${spec%%:*}"
+  fields="$(struct_fields "$name" "$ROOT/${spec#*:}")" || true
+  if [ -z "$fields" ]; then
+    echo "MISSING STRUCT: $name not found in ${spec#*:}"
+    fail=1
+    continue
+  fi
+  for field in $fields; do
+    if ! printf '%s\n' "$knob_table" | grep -q "$name::$field\b"; then
+      echo "UNDOCUMENTED FIELD: $name::$field is not in README.md's knob table"
+      fail=1
+    fi
+  done
+  for named in $(printf '%s\n' "$knob_table" \
+                   | grep -oE "\b$name::[A-Za-z_][A-Za-z0-9_]*" \
+                   | sed "s/^$name:://" | sort -u); do
+    if ! printf '%s\n' "$fields" | grep -qx "$named"; then
+      echo "STALE FIELD: README.md's knob table names $name::$named, which ${spec#*:} does not declare"
+      fail=1
+    fi
+  done
 done
 
 if [ "$fail" -ne 0 ]; then
