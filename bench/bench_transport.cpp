@@ -5,14 +5,13 @@
 //    copies vs moved vectors; the bytes_copied / zero_copy_bytes counters
 //    carry the claim (copied path books every byte, moved path books
 //    none), wall-clock carries the memcpy saved.
-//  - BM_TransportRendezvous: large isend above the eager threshold — the
-//    envelope aliases the caller's buffer and bytes_copied stays ~0.
 //  - BM_SpmvOverlap: distributed 1D Laplacian SpMV at p = 2/4/8 through
-//    the split-phase Import (halo receives posted first, interior rows on
-//    the TaskPool while halos travel, boundary rows last). Compare
-//    against BM_SpmvThreads (single-rank) and PR5 reports.
-//  - BM_FindiffHaloOverlap: shifted_diff at p = 2/4/8 with the posted-
-//    receive halo + parallel interior stencil. Compare against
+//    the split-phase Import (halo packs moved out first, interior rows on
+//    the TaskPool while halos travel, then a blocking receive per
+//    neighbour and the boundary rows). Compare against BM_SpmvThreads
+//    (single-rank) and PR5 reports.
+//  - BM_FindiffHaloOverlap: shifted_diff at p = 2/4/8: boundary send,
+//    parallel interior stencil, then the halo receive. Compare against
 //    BM_FindiffHaloExchange in bench_e3_findiff.
 #include <benchmark/benchmark.h>
 
@@ -67,34 +66,6 @@ void BM_TransportCopyVsMove(benchmark::State& state) {
       static_cast<double>(copied) / static_cast<double>(state.iterations());
   state.counters["zero_copy_bytes"] =
       static_cast<double>(moved_bytes) /
-      static_cast<double>(state.iterations());
-}
-
-void BM_TransportRendezvous(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::uint64_t copied = 0, rendezvous = 0;
-  pc::CommConfig cfg;
-  cfg.eager_threshold = 8192;  // default; n * 8 is far above it
-  for (auto _ : state) {
-    auto stats = pc::run_with_stats(2, cfg, [n](pc::Communicator& comm) {
-      if (comm.rank() == 0) {
-        std::vector<double> payload(n, 2.5);
-        auto fut = comm.isend(std::span<const double>(payload), 1, 7);
-        fut.wait();
-      } else {
-        auto got = comm.recv_vector<double>(0, 7);
-        benchmark::DoNotOptimize(got.data());
-      }
-    });
-    copied += stats.bytes_copied;
-    rendezvous += stats.rendezvous;
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * sizeof(double)));
-  state.counters["bytes_copied"] =
-      static_cast<double>(copied) / static_cast<double>(state.iterations());
-  state.counters["rendezvous"] =
-      static_cast<double>(rendezvous) /
       static_cast<double>(state.iterations());
 }
 
@@ -174,7 +145,6 @@ void BM_FindiffHaloOverlap(benchmark::State& state) {
 BENCHMARK(BM_TransportCopyVsMove)
     ->Args({1 << 20, 0})
     ->Args({1 << 20, 1});
-BENCHMARK(BM_TransportRendezvous)->Arg(1 << 20);
 BENCHMARK(BM_SpmvOverlap)
     ->Args({1 << 20, 2})
     ->Args({1 << 20, 4})

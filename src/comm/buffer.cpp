@@ -43,7 +43,6 @@ Buffer Buffer::copy_of(std::span<const std::byte> data, BufferArena* arena,
       std::memcpy(block.get(), data.data(), data.size());
       b.data_ = block.get();
       b.size_ = data.size();
-      b.owns_storage_ = true;
       b.holder_ = std::move(block);
       if (pooled_out != nullptr) *pooled_out = reused;
       return b;

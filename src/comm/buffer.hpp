@@ -3,7 +3,7 @@
 // Ranks are threads in one address space, so a payload never needs to be
 // serialized onto a wire — an envelope only needs shared ownership of the
 // sender's bytes. Buffer is that ownership handle: a ref-counted,
-// type-erased holder with three acquisition paths (DESIGN.md §2.2):
+// type-erased holder with two acquisition paths (DESIGN.md §2.2):
 //
 //  - copy_of(span):   the eager path — bytes are copied into transport
 //                     storage (a pooled arena block when they fit, heap
@@ -13,19 +13,13 @@
 //                     moved into shared ownership. A receiver that asks for
 //                     the same element type can take_vector() it back out,
 //                     making the whole transfer copy-free end to end.
-//  - view(span, rv):  the rendezvous path — the envelope aliases caller
-//                     memory and the attached RendezvousState releases when
-//                     the last reference (receiver, duplicates, drops)
-//                     lets go, completing the sender's SendFuture.
 //
 // Buffers are immutable after construction; fault injection that wants to
-// tamper with bytes must clone first (mutable_data() refuses shared or
-// aliased storage), so injected corruption can never damage live sender
-// data that a zero-copy envelope shares.
+// tamper with bytes must clone first (mutable_data() refuses shared
+// storage), so injected corruption can never damage live sender data that
+// a zero-copy envelope shares.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -39,36 +33,6 @@
 #include "util/error.hpp"
 
 namespace pyhpc::comm {
-
-/// Completion latch for one rendezvous handoff: released when every
-/// envelope referencing the caller's memory has been consumed (received,
-/// dropped, or replaced), at which point the sender may reuse the buffer.
-class RendezvousState {
- public:
-  void release() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      released_ = true;
-    }
-    cv_.notify_all();
-  }
-
-  bool released() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return released_;
-  }
-
-  /// Bounded wait so callers can interleave failure-flag polls.
-  bool wait_for(std::chrono::milliseconds timeout) const {
-    std::unique_lock<std::mutex> lock(mu_);
-    return cv_.wait_for(lock, timeout, [this] { return released_; });
-  }
-
- private:
-  mutable std::mutex mu_;
-  mutable std::condition_variable cv_;
-  bool released_ = false;
-};
 
 /// Thread-safe freelist of fixed-size blocks backing small eager copies.
 /// Blocks outlive the arena if an envelope escapes it: the block deleter
@@ -135,25 +99,8 @@ class Buffer {
     b.data_ = reinterpret_cast<const std::byte*>(held->data());
     b.size_ = held->size() * sizeof(T);
     b.held_type_ = &typeid(std::vector<T>);
-    b.owns_storage_ = true;
     b.zero_copy_ = true;
     b.holder_ = std::move(held);
-    return b;
-  }
-
-  /// Rendezvous path: aliases caller-owned memory. `handoff` releases once
-  /// the last Buffer sharing this view is destroyed — only then may the
-  /// caller reuse the memory.
-  static Buffer view(std::span<const std::byte> data,
-                     std::shared_ptr<RendezvousState> handoff) {
-    Buffer b;
-    b.data_ = data.data();
-    b.size_ = data.size();
-    b.zero_copy_ = true;
-    auto rv = std::move(handoff);
-    b.holder_ = std::shared_ptr<void>(
-        static_cast<void*>(nullptr),
-        [rv](void*) { rv->release(); });
     return b;
   }
 
@@ -161,14 +108,14 @@ class Buffer {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// True when constructing this buffer cost no payload copy (adopted or
-  /// rendezvous-aliased storage).
+  /// True when constructing this buffer cost no payload copy (adopted
+  /// storage).
   bool zero_copy() const { return zero_copy_; }
 
   /// Moves an adopted vector back out when the element type matches and
   /// this Buffer is the storage's sole owner; nullopt means the caller
-  /// must fall back to a copying decode (type mismatch, shared with a
-  /// fault-injected duplicate, or rendezvous-aliased).
+  /// must fall back to a copying decode (type mismatch, or shared with a
+  /// fault-injected duplicate).
   template <class T>
   std::optional<std::vector<T>> take_vector() {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -195,12 +142,12 @@ class Buffer {
   }
 
   /// Writable access for fault injection only: requires uniquely owned
-  /// transport storage (never a rendezvous view), so tampering cannot
-  /// reach bytes a sender or duplicate still shares.
+  /// storage, so tampering cannot reach bytes a sender or duplicate still
+  /// shares.
   std::byte* mutable_data() {
-    require<CommError>(owns_storage_ && holder_.use_count() == 1,
-                       "Buffer::mutable_data: storage is shared or aliased; "
-                       "clone before mutating");
+    require<CommError>(holder_.use_count() == 1,
+                       "Buffer::mutable_data: storage is shared; clone "
+                       "before mutating");
     return const_cast<std::byte*>(data_);
   }
 
@@ -210,7 +157,6 @@ class Buffer {
     data_ = nullptr;
     size_ = 0;
     zero_copy_ = false;
-    owns_storage_ = false;
     held_type_ = nullptr;
   }
 
@@ -218,7 +164,6 @@ class Buffer {
   const std::byte* data_ = nullptr;
   std::size_t size_ = 0;
   bool zero_copy_ = false;
-  bool owns_storage_ = false;          // transport-owned bytes (not a view)
   const std::type_info* held_type_ = nullptr;  // set by adopt() for take_vector
 };
 

@@ -257,16 +257,13 @@ std::vector<Round> allreduce_rounds(int rank, int p, std::size_t bytes,
 
 }  // namespace
 
-/// A barrier or allreduce in flight: its rounds over one working buffer,
-/// and how far it got (`sent`: the current round's send is out).
+/// A barrier or allreduce: its rounds over one working buffer.
 struct Communicator::Schedule {
   std::uint64_t seq = 0;
   std::vector<Round> rounds{};
   std::span<std::byte> buf{};
   std::size_t esz = 1;
   Fold fold{};
-  std::size_t next = 0;
-  bool sent = false;
 };
 
 /// RAII deadline budget for one collective call: the outermost collective
@@ -294,21 +291,6 @@ class Communicator::CollectiveDeadline {
   bool owner_ = false;
 };
 
-Communicator::Communicator(const Communicator& other)
-    : ctx_(other.ctx_),
-      rank_(other.rank_),
-      seq_(other.seq_),
-      coll_deadline_(other.coll_deadline_) {}
-
-Communicator& Communicator::operator=(const Communicator& other) {
-  ctx_ = other.ctx_;
-  rank_ = other.rank_;
-  seq_ = other.seq_;
-  coll_deadline_ = other.coll_deadline_;
-  posted_.clear();
-  return *this;
-}
-
 CommStats Communicator::aggregate_stats() const {
   CommStats total;
   for (int r = 0; r < size(); ++r) total += ctx_->stats(r);
@@ -318,10 +300,6 @@ CommStats Communicator::aggregate_stats() const {
 void Communicator::check_user_tag(int tag) const {
   require<CommError>(tag >= 0 && tag < kMaxUserTag, "tag ", tag,
                      " outside user range [0, ", kMaxUserTag, ")");
-}
-
-void Communicator::check_user_tag_or_any(int tag) const {
-  if (tag != kAnyTag) check_user_tag(tag);
 }
 
 void Communicator::check_internal_tag(int tag) const {
@@ -404,13 +382,6 @@ Envelope Communicator::pop(int source, int tag, Traffic traffic,
     }
   }();
   accept(env, traffic);
-  return env;
-}
-
-std::optional<Envelope> Communicator::try_pop(int source, int tag,
-                                              Traffic traffic) {
-  auto env = ctx_->mailbox(rank_).try_pop_matching(source, tag);
-  if (env.has_value()) accept(*env, traffic);
   return env;
 }
 
@@ -550,181 +521,23 @@ void Communicator::send_bytes_internal(std::span<const std::byte> data,
   send_buffer(std::move(payload), dest, tag, internal);
 }
 
-/// Non-blocking send core: eager copy at or below the threshold (the
-/// returned future is already ready), rendezvous above it (the envelope
-/// aliases `data`; the future completes when every reference — including
-/// fault-injected duplicates — has been released).
-SendFuture Communicator::isend_bytes(std::span<const std::byte> data, int dest,
-                                     int tag) {
-  if (data.size() <= ctx_->config().eager_threshold) {
-    send_bytes_internal(data, dest, tag, /*internal=*/false);
-    return SendFuture();
-  }
-  ++stats().rendezvous;
-  auto handoff = std::make_shared<RendezvousState>();
-  send_buffer(Buffer::view(data, handoff), dest, tag, /*internal=*/false);
-  return SendFuture(std::move(handoff), ctx_, rank_);
-}
-
-// ---- non-blocking operations ------------------------------------------------
-
-struct Communicator::CallbackRecvOp final : NbOp {
-  CallbackRecvOp(int source, int tag, RecvCallback cb)
-      : source_(source), tag_(tag), cb_(std::move(cb)) {}
-  bool step(Communicator& comm) override {
-    auto env = comm.try_pop(source_, tag_, Traffic::kP2P);
-    if (!env.has_value()) return false;
-    cb_(std::move(*env));
-    return true;
-  }
-  int source_;
-  int tag_;
-  RecvCallback cb_;
-};
-
-/// A posted ibarrier/iallreduce: the blocking call's schedule, advanced
-/// one try at a time by progress().
-struct Communicator::ScheduleOp final : NbOp {
-  ScheduleOp(Schedule s, std::shared_ptr<NbCollState> state)
-      : schedule_(std::move(s)), state_(std::move(state)) {}
-  bool step(Communicator& comm) override {
-    if (!comm.run_schedule(schedule_, /*block=*/false)) return false;
-    state_->done.store(true, std::memory_order_release);
-    return true;
-  }
-  Schedule schedule_;
-  std::shared_ptr<NbCollState> state_;
-};
-
-void Communicator::irecv(int source, int tag, RecvCallback cb) {
-  check_user_tag_or_any(tag);
-  posted_.push_back(
-      std::make_unique<CallbackRecvOp>(source, tag, std::move(cb)));
-}
-
-/// Failure poll for the non-blocking paths: progress() and
-/// CollFuture::wait() call it so a fault-injected death, revocation, or
-/// world abort surfaces as the matching error instead of silent stalls.
-void Communicator::poll_async_failures() {
-  if (ctx_->is_killed(rank_)) {
-    throw RankKilledError("progress on a killed rank (fault injection)");
-  }
-  if (ctx_->is_revoked()) {
-    throw RevokedError("progress on a revoked communicator");
-  }
-  if (ctx_->abort_flag().load(std::memory_order_relaxed)) {
-    if (ctx_->deadlocked()) throw DeadlockError(ctx_->deadlock_report());
-    throw CommError("progress aborted: another rank failed");
-  }
-}
-
-std::size_t Communicator::progress() {
-  poll_async_failures();
-  std::size_t completed = 0;
-  for (std::size_t i = 0; i < posted_.size();) {
-    if (posted_[i]->step(*this)) {
-      posted_.erase(posted_.begin() + static_cast<std::ptrdiff_t>(i));
-      ++completed;
-    } else {
-      ++i;
-    }
-  }
-  return completed;
-}
-
-bool Communicator::run_schedule(Schedule& s, bool block) {
-  for (; s.next < s.rounds.size(); ++s.next, s.sent = false) {
-    const Round& r = s.rounds[s.next];
+void Communicator::run_schedule(const Schedule& s) {
+  for (const Round& r : s.rounds) {
     const int tag = coll_tag(s.seq, r.phase);
-    if (r.to >= 0 && !s.sent) {
+    if (r.to >= 0) {
       send_bytes_internal(s.buf.subspan(r.send.off, r.send.len), r.to, tag,
                           /*internal=*/true);
     }
-    s.sent = true;
     if (r.from < 0) continue;
-    std::optional<Envelope> env;
-    if (block) {
-      env = pop(r.from, tag, Traffic::kColl);
-    } else {
-      env = try_pop(r.from, tag, Traffic::kColl);
-      if (!env.has_value()) return false;
-    }
+    const Envelope env = pop(r.from, tag, Traffic::kColl);
     const auto dst = s.buf.subspan(r.recv.off, r.recv.len);
     if (r.fold) {
-      fold_payload(*env, dst, s.esz, s.fold);
+      fold_payload(env, dst, s.esz, s.fold);
     } else {
-      copy_payload(*env, dst);
+      copy_payload(env, dst);
     }
     if (r.note) note_phase_bytes(r.send.len);
   }
-  return true;
-}
-
-CollFuture Communicator::post(Schedule s) {
-  auto state = std::make_shared<NbCollState>();
-  posted_.push_back(std::make_unique<ScheduleOp>(std::move(s), state));
-  return CollFuture(std::move(state), this);
-}
-
-void SendFuture::wait() {
-  if (!state_) return;
-  while (!state_->wait_for(milliseconds(25))) {
-    if (ctx_->is_killed(rank_)) {
-      throw RankKilledError(
-          "SendFuture::wait on a killed rank (fault injection)");
-    }
-    if (ctx_->abort_flag().load(std::memory_order_relaxed)) {
-      throw CommError("SendFuture::wait aborted: another rank failed");
-    }
-  }
-}
-
-/// Drives progress() until the collective completes; bounded by the
-/// configured receive deadline (zero = wait forever), with the same
-/// failure refinement as the blocking collectives.
-void CollFuture::wait() {
-  if (ready()) return;
-  const auto budget = comm_->ctx_->config().recv_timeout;
-  const auto deadline = budget.count() > 0 ? Clock::now() + budget
-                                           : Clock::time_point::max();
-  while (!ready()) {
-    comm_->progress();
-    if (ready()) return;
-    if (Clock::now() >= deadline) {
-      ++comm_->stats().timeouts;
-      throw RecvTimeoutError(util::cat("non-blocking collective exceeded its ",
-                                       budget.count(), " ms deadline"));
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-}
-
-bool PendingRecv::ready() {
-  if (captured_.has_value()) return true;
-  // The message leaves the mailbox here, so this is where it counts as
-  // received — wait() may never run (see the destructor).
-  captured_ = comm_->try_pop(source_, tag_, Communicator::Traffic::kP2P);
-  return captured_.has_value();
-}
-
-Envelope PendingRecv::wait() {
-  require<CommError>(!consumed_, "PendingRecv::wait: already consumed");
-  consumed_ = true;
-  if (captured_.has_value()) return std::move(*captured_);
-  return comm_->pop(source_, tag_, Communicator::Traffic::kP2P);
-}
-
-PendingRecv::~PendingRecv() {
-  if (!captured_.has_value() || consumed_) return;
-  // ready() captured a message that was never consumed: put it back at the
-  // front of the mailbox (it was the earliest match, so front order is
-  // preserved) and back the capture out of the receive stats — the later
-  // real receive will count it exactly once.
-  auto& s = comm_->stats();
-  --s.p2p_messages_received;
-  s.p2p_bytes_received -= captured_->payload.size();
-  ++s.pending_requeued;
-  comm_->ctx_->mailbox(comm_->rank_).requeue(std::move(*captured_));
 }
 
 // ---- collectives ------------------------------------------------------------
@@ -740,13 +553,7 @@ std::uint64_t Communicator::next_seq() {
 void Communicator::barrier() {
   obs::Span span = coll_span("barrier", 0, size());
   CollectiveDeadline deadline_guard(*this);
-  Schedule s{.seq = next_seq(), .rounds = barrier_rounds(rank_, size())};
-  run_schedule(s, /*block=*/true);
-}
-
-CollFuture Communicator::ibarrier() {
-  obs::Span span = coll_span("ibarrier", 0, size());
-  return post(
+  run_schedule(
       Schedule{.seq = next_seq(), .rounds = barrier_rounds(rank_, size())});
 }
 
@@ -868,29 +675,12 @@ void Communicator::allreduce_bytes(std::span<const std::byte> in,
     return;
   }
   copy_bytes(in, out);
-  Schedule s{.seq = next_seq(),
-             .rounds = allreduce_rounds(rank_, size(), out.size(), esz, algo),
-             .buf = out,
-             .esz = esz,
-             .fold = fold};
-  run_schedule(s, /*block=*/true);
-}
-
-CollFuture Communicator::iallreduce_bytes(std::span<const std::byte> in,
-                                          std::span<std::byte> out,
-                                          std::size_t esz, Fold fold) {
-  require<CommError>(out.size() == in.size(),
-                     "iallreduce: output span has wrong size");
-  const auto algo = CollectiveAlgo::kRecursiveDoubling;
-  obs::Span span = coll_span("iallreduce", in.size(), size(), algo);
-  note_algo(stats(), algo);
-  copy_bytes(in, out);
-  return post(Schedule{
+  run_schedule(Schedule{
       .seq = next_seq(),
       .rounds = allreduce_rounds(rank_, size(), out.size(), esz, algo),
       .buf = out,
       .esz = esz,
-      .fold = std::move(fold)});
+      .fold = fold});
 }
 
 void Communicator::scan_inclusive_bytes(std::span<std::byte> value,

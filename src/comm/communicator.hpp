@@ -5,7 +5,8 @@
 //  - non-overtaking delivery for a fixed (source, dest) pair;
 //  - collectives must be entered by every rank of the communicator in the
 //    same program order (they are sequenced with an internal tag space);
-//  - sends are always eager/buffered, so a send never deadlocks.
+//  - sends are always eager/buffered, so a send never deadlocks;
+//  - every receive blocks, at the point the caller needs the data.
 //
 // All typed operations require trivially-copyable element types; richer
 // payloads (strings, record batches) use the byte/string interfaces or the
@@ -18,7 +19,6 @@
 // reduction, passes one fold callback instantiated per (T, Op).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -36,8 +36,6 @@
 
 namespace pyhpc::comm {
 
-class Communicator;
-
 /// Typed view of a received payload: moves an adopted std::vector<T> out
 /// when the buffer solely owns it (the zero-copy fast path), else copies.
 template <class T>
@@ -45,8 +43,7 @@ std::vector<T> payload_to_vector(Buffer&& payload) {
   static_assert(std::is_trivially_copyable_v<T>);
   if (auto v = payload.take_vector<T>()) return std::move(*v);
   require<CommError>(payload.size() % sizeof(T) == 0,
-                     "PendingRecv::decode: payload size not a multiple of "
-                     "element size");
+                     "recv: payload size not a multiple of element size");
   std::vector<T> out(payload.size() / sizeof(T));
   // An empty payload has a null data() pointer, and memcpy with a null
   // source is UB even for size 0.
@@ -56,111 +53,6 @@ std::vector<T> payload_to_vector(Buffer&& payload) {
   return out;
 }
 
-/// Handle to a posted non-blocking receive. A message captured by ready()
-/// is owned by the handle and counted as received at capture. Destroying
-/// a handle that still owns an unconsumed message re-queues it at the
-/// front of the mailbox (and backs the capture out of the stats), so a
-/// later matching receive sees it as if the handle had never existed.
-class PendingRecv {
- public:
-  PendingRecv(Communicator* comm, int source, int tag)
-      : comm_(comm), source_(source), tag_(tag) {}
-  ~PendingRecv();
-
-  PendingRecv(const PendingRecv&) = delete;
-  PendingRecv& operator=(const PendingRecv&) = delete;
-  PendingRecv(PendingRecv&& other) noexcept
-      : comm_(other.comm_),
-        source_(other.source_),
-        tag_(other.tag_),
-        captured_(std::move(other.captured_)),
-        consumed_(other.consumed_) {
-    other.captured_.reset();
-    other.consumed_ = true;
-  }
-  PendingRecv& operator=(PendingRecv&&) = delete;
-
-  /// Non-blocking: true once the matching message has arrived (and has been
-  /// captured into this handle).
-  bool ready();
-
-  /// Blocks until the message arrives and returns it. May be called once.
-  Envelope wait();
-
-  /// Decodes a waited envelope into typed elements (always a copy).
-  template <class T>
-  static std::vector<T> decode(const Envelope& env) {
-    return payload_to_vector<T>(Buffer(env.payload));
-  }
-
-  /// Consuming decode: an adopted std::vector<T> that this envelope solely
-  /// owns is moved straight out — no copy end to end.
-  template <class T>
-  static std::vector<T> take(Envelope&& env) {
-    return payload_to_vector<T>(std::move(env.payload));
-  }
-
- private:
-  Communicator* comm_;
-  int source_;
-  int tag_;
-  std::optional<Envelope> captured_;
-  bool consumed_ = false;
-};
-
-/// Handle to a non-blocking send. Eager sends (payload at or below
-/// CommConfig::eager_threshold) return an already-ready future.
-/// Rendezvous sends alias the caller's memory: ready() means "the buffer
-/// is yours to reuse" (MPI send completion) — every envelope referencing
-/// it, fault-injected duplicates included, has been consumed.
-class SendFuture {
- public:
-  SendFuture() = default;  // eager send: nothing outstanding
-
-  bool ready() const { return !state_ || state_->released(); }
-
-  /// Blocks until the buffer is released. Polls the world's failure flags
-  /// so an abort, revocation, or the caller's own fault-injected death
-  /// surfaces as the matching error instead of a hang.
-  void wait();
-
- private:
-  friend class Communicator;
-  SendFuture(std::shared_ptr<RendezvousState> state,
-             std::shared_ptr<Context> ctx, int rank)
-      : state_(std::move(state)), ctx_(std::move(ctx)), rank_(rank) {}
-
-  std::shared_ptr<RendezvousState> state_;
-  std::shared_ptr<Context> ctx_;
-  int rank_ = -1;
-};
-
-/// Completion state shared between a non-blocking collective (owned by the
-/// communicator's progress list) and the CollFuture the caller holds.
-struct NbCollState {
-  std::atomic<bool> done{false};
-};
-
-/// Handle to a non-blocking collective (ibarrier/iallreduce). The
-/// operation only advances inside Communicator::progress(), GHEX-style;
-/// wait() drives progress() until completion and honours the configured
-/// receive deadline.
-class CollFuture {
- public:
-  CollFuture() = default;
-  bool ready() const {
-    return !state_ || state_->done.load(std::memory_order_acquire);
-  }
-  void wait();
-
- private:
-  friend class Communicator;
-  CollFuture(std::shared_ptr<NbCollState> state, Communicator* comm)
-      : state_(std::move(state)), comm_(comm) {}
-  std::shared_ptr<NbCollState> state_;
-  Communicator* comm_ = nullptr;
-};
-
 class Communicator {
  public:
   Communicator(std::shared_ptr<Context> ctx, int rank)
@@ -168,14 +60,6 @@ class Communicator {
     require<CommError>(rank_ >= 0 && rank_ < ctx_->size(),
                        "Communicator: rank out of range");
   }
-
-  // Copies share the world but not the posted non-blocking operations:
-  // those belong to the handle that posted them (its progress() loop is
-  // the only driver holding their futures).
-  Communicator(const Communicator& other);
-  Communicator& operator=(const Communicator& other);
-  Communicator(Communicator&&) = default;
-  Communicator& operator=(Communicator&&) = default;
 
   int rank() const { return rank_; }
   int size() const { return ctx_->size(); }
@@ -322,6 +206,14 @@ class Communicator {
     return recv_value<T>(source, tag);
   }
 
+  /// Variable-size internal receive (Import packs): moves an adopted
+  /// vector back out, like recv_vector.
+  template <class T>
+  std::vector<T> recv_vector_internal(int source, int tag) {
+    check_internal_tag(tag);
+    return payload_to_vector<T>(pop(source, tag, Traffic::kP2P).payload);
+  }
+
   // ---- failure observability --------------------------------------------
 
   /// True when fault injection has killed `rank` (drivers use this to turn
@@ -331,75 +223,6 @@ class Communicator {
   /// Payload bytes currently buffered in this rank's mailbox.
   std::size_t queued_bytes() const {
     return ctx_->mailbox(rank_).queued_bytes();
-  }
-
-  // ---- non-blocking -----------------------------------------------------
-  // GHEX-style transport surface: futures for isend/irecv, callbacks
-  // posted to an explicit progress() loop, and non-blocking collectives
-  // (ibarrier/iallreduce) that only advance inside progress().
-
-  /// Non-blocking send: eager copy at or below
-  /// CommConfig::eager_threshold, rendezvous above it — the envelope then
-  /// aliases `data`, which must stay alive and unmodified until the
-  /// future completes (MPI isend semantics).
-  template <class T>
-  SendFuture isend(std::span<const T> data, int dest, int tag) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    check_user_tag(tag);
-    return isend_bytes(std::as_bytes(data), dest, tag);
-  }
-
-  /// Internal-tag variant (subsystem protocols above kInternalP2PBase).
-  template <class T>
-  SendFuture isend_internal(std::span<const T> data, int dest, int tag) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    check_internal_tag(tag);
-    return isend_bytes(std::as_bytes(data), dest, tag);
-  }
-
-  /// Posts a receive; completion is observed through the returned handle.
-  PendingRecv irecv(int source = kAnySource, int tag = kAnyTag) {
-    check_user_tag_or_any(tag);
-    return PendingRecv(this, source, tag);
-  }
-
-  /// Internal-tag variant: lets subsystem protocols (halo exchange,
-  /// split-phase Import) post their receives before compute.
-  PendingRecv irecv_internal(int source, int tag) {
-    check_internal_tag(tag);
-    return PendingRecv(this, source, tag);
-  }
-
-  /// Callback-driven receive: `cb` runs inside a later progress() call on
-  /// this rank's thread once a matching message arrives.
-  using RecvCallback = std::function<void(Envelope)>;
-  void irecv(int source, int tag, RecvCallback cb);
-
-  /// Drives every posted operation (callback receives and non-blocking
-  /// collectives) one step; returns how many completed in this call.
-  /// Rank-local and non-blocking: call it in a loop, GHEX-style.
-  std::size_t progress();
-
-  /// Posted operations not yet complete (tests/instrumentation).
-  std::size_t pending_operations() const { return posted_.size(); }
-
-  /// Non-blocking dissemination barrier: barrier()'s schedule, advanced
-  /// only by progress()/wait().
-  CollFuture ibarrier();
-
-  /// Non-blocking allreduce: allreduce()'s recursive-doubling schedule
-  /// (same non-power-of-two fold, so the same bits), advanced only by
-  /// progress()/wait(). `in`/`out` must stay alive until the future
-  /// completes; `out` must be sized like `in` on every rank.
-  template <class T, class Op>
-  CollFuture iallreduce(std::span<const T> in, std::span<T> out, Op op) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return iallreduce_bytes(std::as_bytes(in), std::as_writable_bytes(out),
-                            sizeof(T),
-                            [op](std::byte* acc, const std::byte* x,
-                                 std::size_t n) mutable {
-                              fold_elements<T>(op, acc, x, n);
-                            });
   }
 
   // ---- collectives ------------------------------------------------------
@@ -658,9 +481,6 @@ class Communicator {
   Communicator shrink();
 
  private:
-  friend class PendingRecv;
-  friend class CollFuture;
-
   /// Element-wise reduction over raw bytes — the one callback every
   /// reduction schedule folds with: acc[i] = op(acc[i], in[i]) for `count`
   /// elements of the type it was made for.
@@ -711,7 +531,6 @@ class Communicator {
   std::size_t me() const { return static_cast<std::size_t>(rank_); }
 
   void check_user_tag(int tag) const;
-  void check_user_tag_or_any(int tag) const;
   void check_internal_tag(int tag) const;
 
   // ---- receive and send core (communicator.cpp) -------------------------
@@ -725,18 +544,14 @@ class Communicator {
   /// budget (kColl), fails fast when the expected peer dies, refines abort
   /// errors, then verifies integrity and books the receive.
   Envelope pop(int source, int tag, Traffic traffic, Timeout timeout = {});
-  /// Non-blocking: the first match if one is queued, verified and booked.
-  std::optional<Envelope> try_pop(int source, int tag, Traffic traffic);
   /// Integrity check plus receive stats for a message leaving the mailbox.
   void accept(const Envelope& env, Traffic traffic);
   Status recv_exact(Bytes buf, int source, int tag, Timeout timeout = {});
   Mailbox::WaitOptions wait_options(Timeout timeout) const;
   [[noreturn]] void rethrow_refined() const;
-  void poll_async_failures();
 
   void send_buffer(Buffer payload, int dest, int tag, bool internal);
   void send_bytes_internal(ConstBytes data, int dest, int tag, bool internal);
-  SendFuture isend_bytes(ConstBytes data, int dest, int tag);
 
   // ---- byte-level collective core (communicator.cpp) --------------------
   // `esz` is the element size, where a schedule folds elements or splits a
@@ -747,8 +562,6 @@ class Communicator {
                     const Fold& fold, int root, CollectiveAlgo algo);
   void allreduce_bytes(ConstBytes in, Bytes out, std::size_t esz,
                        const Fold& fold, CollectiveAlgo algo);
-  CollFuture iallreduce_bytes(ConstBytes in, Bytes out, std::size_t esz,
-                              Fold fold);
   void scan_inclusive_bytes(Bytes value, const Fold& fold);
   void scan_exclusive_bytes(Bytes value, ConstBytes identity,
                             const Fold& fold);
@@ -766,21 +579,12 @@ class Communicator {
   /// payload rank r sent here; this rank's own slot is left alone.
   void alltoallv_bytes(std::vector<Buffer>& wire, std::size_t send_bytes);
 
-  // Schedules that run both blocking and from progress() (barrier,
-  // recursive-doubling allreduce) are lists of send/receive rounds.
+  // The barrier and the recursive-doubling/Rabenseifner allreduce are lists
+  // of send/receive rounds over one working buffer, run by run_schedule.
   struct Schedule;
-  struct NbOp {
-    virtual ~NbOp() = default;
-    virtual bool step(Communicator& comm) = 0;
-  };
-  struct CallbackRecvOp;
-  struct ScheduleOp;
   class CollectiveDeadline;
 
-  /// Runs the schedule's remaining rounds; with block = false it stops at
-  /// the first receive that is not ready. True once every round is done.
-  bool run_schedule(Schedule& s, bool block);
-  CollFuture post(Schedule s);
+  void run_schedule(const Schedule& s);
   std::uint64_t next_seq();  // one per collective, counted in `collectives`
 
   std::shared_ptr<Context> ctx_;
@@ -789,10 +593,6 @@ class Communicator {
   /// Deadline shared by every phase of the collective currently in flight
   /// on this rank; the epoch value means "no collective deadline armed".
   std::chrono::steady_clock::time_point coll_deadline_{};
-  /// Posted non-blocking operations (callback receives, ibarrier,
-  /// iallreduce), advanced by progress(). Rank-local: each rank drives its
-  /// own list from its own thread.
-  std::vector<std::unique_ptr<NbOp>> posted_;
 };
 
 }  // namespace pyhpc::comm

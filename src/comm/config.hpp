@@ -1,13 +1,11 @@
 // Per-world communication settings: the receive deadline, the deadlock
-// watchdog's sampling period, the intra-rank pool width, an optional fault
-// injector and the eager/rendezvous switch point. Passed to comm::run (and
-// held by the Context), so every Communicator of the world sees the same
-// settings. Collective schedules are chosen per call (CollectiveAlgo), not
-// here.
+// watchdog's sampling period, the intra-rank pool width and an optional
+// fault injector. Passed to comm::run (and held by the Context), so every
+// Communicator of the world sees the same settings. Collective schedules
+// are chosen per call (CollectiveAlgo), not here.
 #pragma once
 
 #include <chrono>
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -59,14 +57,6 @@ struct CommConfig {
   /// means no injection. Not inherited by split() children: rules address
   /// ranks of the context they are installed in.
   std::shared_ptr<FaultInjector> injector;
-
-  /// Transport-tier switch point: isend payloads at or below this many
-  /// bytes are copied eagerly (the future completes immediately); larger
-  /// ones hand off by rendezvous — the envelope aliases the caller's
-  /// memory and the SendFuture completes only when the receiver has let
-  /// go of it. Blocking sends always stay eager regardless of size (the
-  /// collectives' deadlock-freedom depends on sends never blocking).
-  std::size_t eager_threshold = 8192;
 };
 
 }  // namespace pyhpc::comm

@@ -113,6 +113,12 @@ void Context::deliver(int dest, Envelope env) {
 void Context::abort() {
   aborted_.store(true, std::memory_order_relaxed);
   for (auto& mb : mailboxes_) mb->interrupt();
+  {
+    // Ranks blocked in a split() or shrink() child wait on the child's
+    // flags, so the abort goes down the registry, recursively.
+    std::lock_guard<std::mutex> lock(children_mu_);
+    for (auto& entry : children_) entry.second->abort();
+  }
   children_cv_.notify_all();
   agree_cv_.notify_all();
 }
@@ -229,6 +235,9 @@ void Context::publish_child(std::uint64_t seq, int color,
                             std::shared_ptr<Context> child) {
   {
     std::lock_guard<std::mutex> lock(children_mu_);
+    // Under the lock abort() walks the registry with, so a child published
+    // after an abort starts aborted and none is missed.
+    if (aborted_.load(std::memory_order_relaxed)) child->abort();
     children_[{seq, color}] = std::move(child);
   }
   children_cv_.notify_all();

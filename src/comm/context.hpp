@@ -47,7 +47,8 @@ class Context {
   std::atomic<bool>& abort_flag() { return aborted_; }
   const std::atomic<bool>& abort_flag() const { return aborted_; }
 
-  /// Marks the context aborted and wakes every blocked receiver.
+  /// Marks the context aborted and wakes every blocked receiver, here and
+  /// in every context split() or shrink() made from it (recursively).
   void abort();
 
   // ---- failure containment ---------------------------------------------
@@ -100,7 +101,8 @@ class Context {
   /// split() support: the lowest-ranked member of each colour group creates
   /// the child context and publishes it under (sequence, colour); the other
   /// members block until it appears. The key is unique because collectives
-  /// execute in program order on every rank.
+  /// execute in program order on every rank. A child published after this
+  /// context aborted is aborted too.
   void publish_child(std::uint64_t seq, int color,
                      std::shared_ptr<Context> child);
   std::shared_ptr<Context> wait_child(std::uint64_t seq, int color);

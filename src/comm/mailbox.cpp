@@ -52,17 +52,6 @@ void Mailbox::push(Envelope env) {
   cv_.notify_all();
 }
 
-void Mailbox::requeue(Envelope env) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queued_bytes_ += env.payload.size();
-    highwater_bytes_ = std::max(highwater_bytes_, queued_bytes_);
-    queue_.push_front(std::move(env));
-    highwater_messages_ = std::max(highwater_messages_, queue_.size());
-  }
-  cv_.notify_all();
-}
-
 std::deque<Envelope>::iterator Mailbox::find_locked(int source, int tag) {
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
     if (matches(*it, source, tag)) return it;
@@ -70,44 +59,41 @@ std::deque<Envelope>::iterator Mailbox::find_locked(int source, int tag) {
   return queue_.end();
 }
 
-Envelope Mailbox::pop_matching(int source, int tag, const WaitOptions& opts) {
+std::deque<Envelope>::iterator Mailbox::wait_for_match(
+    std::unique_lock<std::mutex>& lock, int source, int tag,
+    const WaitOptions& opts, const char* verb) {
   const bool bounded = opts.timeout.count() > 0;
   const auto deadline = bounded
                             ? std::chrono::steady_clock::now() + opts.timeout
                             : std::chrono::steady_clock::time_point::max();
-  std::unique_lock<std::mutex> lock(mu_);
   WaitScope scope(*this, source, tag, bounded);
   for (;;) {
     // Revocation poisons the communicator outright: even a queued match is
     // not delivered once revoke() has been called.
     if (flag_set(opts.revoked)) {
-      throw RevokedError("recv on a revoked communicator");
+      throw RevokedError(util::cat(verb, " on a revoked communicator"));
     }
     auto it = find_locked(source, tag);
-    if (it != queue_.end()) {
-      Envelope env = std::move(*it);
-      queued_bytes_ -= env.payload.size();
-      queue_.erase(it);
-      return env;
-    }
+    if (it != queue_.end()) return it;
     if (flag_set(opts.killed)) {
-      throw RankKilledError("recv on a killed rank (fault injection)");
+      throw RankKilledError(
+          util::cat(verb, " on a killed rank (fault injection)"));
     }
     // No match queued and the expected sender is dead: nothing more can
     // arrive from it (its sends are swallowed), so fail fast.
     if (flag_set(opts.peer_killed)) {
       throw PeerKilledError(
           opts.peer_rank,
-          util::cat("recv: peer rank ", opts.peer_rank,
+          util::cat(verb, ": peer rank ", opts.peer_rank,
                     " died (fault injection) while this rank waited for ",
                     describe_match(source, tag)));
     }
     if (flag_set(opts.aborted)) {
-      throw CommError("recv aborted: another rank failed");
+      throw CommError(util::cat(verb, " aborted: another rank failed"));
     }
     const auto now = std::chrono::steady_clock::now();
     if (bounded && now >= deadline) {
-      throw RecvTimeoutError(util::cat("recv timed out after ",
+      throw RecvTimeoutError(util::cat(verb, " timed out after ",
                                        opts.timeout.count(),
                                        " ms waiting for ",
                                        describe_match(source, tag)));
@@ -120,10 +106,9 @@ Envelope Mailbox::pop_matching(int source, int tag, const WaitOptions& opts) {
   }
 }
 
-std::optional<Envelope> Mailbox::try_pop_matching(int source, int tag) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = find_locked(source, tag);
-  if (it == queue_.end()) return std::nullopt;
+Envelope Mailbox::pop_matching(int source, int tag, const WaitOptions& opts) {
+  std::unique_lock<std::mutex> lock(mu_);
+  const auto it = wait_for_match(lock, source, tag, opts, "recv");
   Envelope env = std::move(*it);
   queued_bytes_ -= env.payload.size();
   queue_.erase(it);
@@ -131,46 +116,9 @@ std::optional<Envelope> Mailbox::try_pop_matching(int source, int tag) {
 }
 
 Status Mailbox::probe(int source, int tag, const WaitOptions& opts) {
-  const bool bounded = opts.timeout.count() > 0;
-  const auto deadline = bounded
-                            ? std::chrono::steady_clock::now() + opts.timeout
-                            : std::chrono::steady_clock::time_point::max();
   std::unique_lock<std::mutex> lock(mu_);
-  WaitScope scope(*this, source, tag, bounded);
-  for (;;) {
-    if (flag_set(opts.revoked)) {
-      throw RevokedError("probe on a revoked communicator");
-    }
-    auto it = find_locked(source, tag);
-    if (it != queue_.end()) {
-      return Status{it->source, it->tag, it->payload.size()};
-    }
-    if (flag_set(opts.killed)) {
-      throw RankKilledError("probe on a killed rank (fault injection)");
-    }
-    if (flag_set(opts.peer_killed)) {
-      throw PeerKilledError(
-          opts.peer_rank,
-          util::cat("probe: peer rank ", opts.peer_rank,
-                    " died (fault injection) while this rank waited for ",
-                    describe_match(source, tag)));
-    }
-    if (flag_set(opts.aborted)) {
-      throw CommError("probe aborted: another rank failed");
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (bounded && now >= deadline) {
-      throw RecvTimeoutError(util::cat("probe timed out after ",
-                                       opts.timeout.count(),
-                                       " ms waiting for ",
-                                       describe_match(source, tag)));
-    }
-    const auto slice =
-        bounded ? std::min<std::chrono::steady_clock::duration>(
-                      kPollPeriod, deadline - now)
-                : std::chrono::steady_clock::duration(kPollPeriod);
-    cv_.wait_for(lock, slice);
-  }
+  const auto it = wait_for_match(lock, source, tag, opts, "probe");
+  return Status{it->source, it->tag, it->payload.size()};
 }
 
 std::optional<Status> Mailbox::try_probe(int source, int tag) {

@@ -18,7 +18,8 @@ namespace pyhpc::comm {
 /// (source, tag) pair. Blocking pops poll abort/killed flags so that one
 /// rank failing (or being fault-killed) cannot wedge the others forever,
 /// and can carry a deadline so a lost message surfaces as RecvTimeoutError
-/// instead of a hang.
+/// instead of a hang. pop_matching and probe share one wait loop, the only
+/// place a rank blocks on a message.
 class Mailbox {
  public:
   /// Flags and deadline a blocking wait observes.
@@ -61,20 +62,11 @@ class Mailbox {
   /// Enqueues a message and wakes any waiting receiver.
   void push(Envelope env);
 
-  /// Puts a message back at the *front* of the queue (used when a
-  /// PendingRecv handle dies still owning a captured message). Front
-  /// placement restores the arrival order the capture removed it from, so
-  /// non-overtaking delivery per (source, dest) is preserved.
-  void requeue(Envelope env);
-
   /// Blocks until a message matching (source, tag) is available, then
   /// removes and returns it. `source`/`tag` may be kAnySource/kAnyTag.
   /// Throws CommError (abort), RankKilledError (owner killed), or
   /// RecvTimeoutError (deadline exceeded) while waiting.
   Envelope pop_matching(int source, int tag, const WaitOptions& opts);
-
-  /// Non-blocking variant: returns nullopt when no match is queued.
-  std::optional<Envelope> try_pop_matching(int source, int tag);
 
   /// Blocks until a match is available and returns its metadata without
   /// dequeuing (MPI_Probe analogue). Same failure modes as pop_matching.
@@ -112,6 +104,14 @@ class Mailbox {
 
   // Finds the first queued match; caller must hold mu_.
   std::deque<Envelope>::iterator find_locked(int source, int tag);
+
+  // The wait loop under pop_matching and probe: with `lock` held on mu_,
+  // waits until a match is queued and returns it (still locked), or
+  // throws what `opts` calls for. `verb` ("recv"/"probe") opens the error
+  // texts.
+  std::deque<Envelope>::iterator wait_for_match(
+      std::unique_lock<std::mutex>& lock, int source, int tag,
+      const WaitOptions& opts, const char* verb);
 
   // Marks the owner blocked for the lifetime of a wait; ctor/dtor run with
   // mu_ held (construct after the unique_lock so unwind order is correct).

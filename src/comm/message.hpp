@@ -62,13 +62,13 @@ struct Status {
   std::size_t bytes = 0;
 };
 
-/// One in-flight message. Blocking sends are always eager/buffered — the
-/// payload lands in transport storage at send time, so a send never blocks
-/// on the receiver (mirrors MPI's eager protocol and removes send-side
-/// deadlock by construction). "Buffered" no longer implies "copied": the
-/// payload is a ref-counted Buffer, so moved (adopt) and rendezvous (view)
-/// sends share the sender's bytes instead of duplicating them, and a
-/// fault-injected duplicate shares the original's storage.
+/// One in-flight message. Sends are always eager/buffered — the payload
+/// lands in transport storage at send time, so a send never blocks on the
+/// receiver (mirrors MPI's eager protocol and removes send-side deadlock by
+/// construction). "Buffered" does not imply "copied": the payload is a
+/// ref-counted Buffer, so a moved (adopt) send shares the sender's bytes
+/// instead of duplicating them, and a fault-injected duplicate shares the
+/// original's storage.
 ///
 /// `checksum` is stamped by Context::deliver over (source, tag, payload);
 /// receivers verify it before decoding so injected (or real) corruption

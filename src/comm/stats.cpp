@@ -19,11 +19,11 @@ std::string CommStats::to_string() const {
   if (mailbox_highwater_bytes != 0) {
     out += util::cat("; mailbox highwater: ", mailbox_highwater_bytes, " B");
   }
-  if (bytes_copied != 0 || zero_copy_bytes != 0 || rendezvous != 0) {
+  if (bytes_copied != 0 || zero_copy_bytes != 0) {
     out += util::cat("; transport: ", bytes_copied, " B copied, ",
                      zero_copy_bytes, " B zero-copy in ", zero_copy_messages,
-                     " msgs, ", rendezvous, " rendezvous, arena ", arena_hits,
-                     " hits / ", arena_misses, " misses");
+                     " msgs, arena ", arena_hits, " hits / ", arena_misses,
+                     " misses");
   }
   return out;
 }

@@ -37,20 +37,14 @@ struct CommStats {
   // observability for unbounded eager-send buffering (aggregated with max,
   // not sum).
   std::uint64_t mailbox_highwater_bytes = 0;
-  // Messages captured by a PendingRecv handle and re-queued because the
-  // handle was destroyed before wait() consumed them.
-  std::uint64_t pending_requeued = 0;
   // Transport-tier accounting. p2p/coll byte counters above record
   // *logical* volume (what the program shipped); these record what the
   // transport physically did with it. bytes_copied counts payload bytes
   // memcpy'd into transport storage at send time (the eager path);
-  // zero_copy_* count sends whose payload was moved or aliased instead.
+  // zero_copy_* count sends whose payload was moved instead.
   std::uint64_t bytes_copied = 0;
   std::uint64_t zero_copy_messages = 0;
   std::uint64_t zero_copy_bytes = 0;
-  // Rendezvous handoffs: isend payloads above CommConfig::eager_threshold
-  // that aliased caller memory and completed via SendFuture.
-  std::uint64_t rendezvous = 0;
   // Pooled-arena outcomes for eager copies: a hit recycled a freelisted
   // block, a miss allocated a fresh one (or fell through to the heap).
   std::uint64_t arena_hits = 0;
@@ -90,11 +84,9 @@ struct CommStats {
     corruption_detected += o.corruption_detected;
     mailbox_highwater_bytes =
         std::max(mailbox_highwater_bytes, o.mailbox_highwater_bytes);
-    pending_requeued += o.pending_requeued;
     bytes_copied += o.bytes_copied;
     zero_copy_messages += o.zero_copy_messages;
     zero_copy_bytes += o.zero_copy_bytes;
-    rendezvous += o.rendezvous;
     arena_hits += o.arena_hits;
     arena_misses += o.arena_misses;
     algo_linear += o.algo_linear;

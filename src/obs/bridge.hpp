@@ -46,14 +46,11 @@ inline void import_comm_stats(MetricsRegistry& reg,
           static_cast<double>(s.corruption_detected));
   reg.set_max(prefix + ".mailbox_highwater_bytes",
               static_cast<double>(s.mailbox_highwater_bytes));
-  reg.add(prefix + ".pending_requeued",
-          static_cast<double>(s.pending_requeued));
   reg.add(prefix + ".bytes_copied", static_cast<double>(s.bytes_copied));
   reg.add(prefix + ".zero_copy_messages",
           static_cast<double>(s.zero_copy_messages));
   reg.add(prefix + ".zero_copy_bytes",
           static_cast<double>(s.zero_copy_bytes));
-  reg.add(prefix + ".rendezvous", static_cast<double>(s.rendezvous));
   reg.add(prefix + ".arena_hits", static_cast<double>(s.arena_hits));
   reg.add(prefix + ".arena_misses", static_cast<double>(s.arena_misses));
   reg.add(prefix + ".algo_linear", static_cast<double>(s.algo_linear));

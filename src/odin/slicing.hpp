@@ -9,7 +9,6 @@
 #pragma once
 
 #include <algorithm>
-#include <optional>
 
 #include "odin/dist_array.hpp"
 #include "odin/shape.hpp"
@@ -149,14 +148,10 @@ DistArray<T> shifted_diff(const DistArray<T>& a) {
 
   // The halo exchange runs on the reserved internal tag (comm::kHaloTag):
   // a user tag here would collide with unrelated application traffic on
-  // the same tag and silently cross-match. Overlap structure: post the
-  // halo receive first, send our own boundary value, run the interior
-  // stencil while the halo is in flight, and fill the boundary element
-  // last.
-  std::optional<comm::PendingRecv> halo_recv;
-  if (my_count > 0 && next_with_data >= 0) {
-    halo_recv.emplace(comm.irecv_internal(next_with_data, comm::kHaloTag));
-  }
+  // the same tag and silently cross-match. Overlap structure: send our own
+  // boundary value, run the interior stencil while the halo is in flight,
+  // then receive the halo and fill the boundary element last.
+  const bool has_halo = my_count > 0 && next_with_data >= 0;
   if (my_count > 0 && prev_with_data >= 0) {
     comm.send_value_internal(a.local_view()[0], prev_with_data,
                              comm::kHaloTag);
@@ -187,7 +182,7 @@ DistArray<T> shifted_diff(const DistArray<T>& a) {
     if (span.active()) {
       span.arg("interior", static_cast<std::int64_t>(
                                my_count > 0 ? my_count - 1 : 0));
-      span.arg("halo", static_cast<std::int64_t>(halo_recv ? 1 : 0));
+      span.arg("halo", static_cast<std::int64_t>(has_halo ? 1 : 0));
     }
     const T* inp = in.data();
     T* outp = view.data();
@@ -199,9 +194,9 @@ DistArray<T> shifted_diff(const DistArray<T>& a) {
                          }
                        });
   }
-  if (halo_recv.has_value() && out_n == my_count) {
+  if (has_halo && out_n == my_count) {
     const T halo =
-        comm::PendingRecv::take<T>(halo_recv->wait()).at(0);
+        comm.template recv_value_internal<T>(next_with_data, comm::kHaloTag);
     view[static_cast<std::size_t>(my_count - 1)] =
         halo - in[static_cast<std::size_t>(my_count - 1)];
   }

@@ -165,10 +165,9 @@ class CrsMatrix final : public Operator<Scalar, LO, GO> {
   }
 
   /// y := A x (collective), overlapping the ghost fill with the interior
-  /// sweep: halo receives are posted and sends moved out (Import
-  /// begin_apply), the interior rows — no ghost columns — run on the
-  /// TaskPool while the halos travel, and the boundary rows finish once
-  /// they have arrived. A matrix with no boundary rows (single rank, or a
+  /// sweep: the halo sends are moved out (Import begin_apply), the interior
+  /// rows — no ghost columns — run on the TaskPool while the halos travel,
+  /// then finish() receives them and the boundary rows run. A matrix with no boundary rows (single rank, or a
   /// block-diagonal structure) skips the split and keeps the plain
   /// full-range sweep. The CSR arrays are hoisted into raw pointers once
   /// per call — member-vector accesses in the inner loop re-read data

@@ -8,9 +8,9 @@
 // used by finite-element scatter-add.
 //
 // Plans are built once (collective) and applied many times. The forward
-// application is split-phase (begin_apply/ImportHandle::finish): receives
-// are posted first, sends move their packs zero-copy, and the caller can
-// overlap local compute with the in-flight exchange — the structure SpMV's
+// application is split-phase (begin_apply/ImportHandle::finish): sends move
+// their packs zero-copy, the caller computes on anything that does not need
+// the remote values, and finish() receives them — the structure SpMV's
 // interior/boundary overlap is built on.
 #pragma once
 
@@ -30,11 +30,11 @@ enum class CombineMode {
   kAdd,     // accumulate
 };
 
-/// In-flight forward Import application: receives are posted, sends are
-/// gone (moved into envelopes), permutes are done. finish() drains the
-/// receives and scatters them into the target vector. Must be finished
-/// before the next communication on the same communicator pair to keep
-/// FIFO tag matching aligned.
+/// In-flight forward Import application: sends are gone (moved into
+/// envelopes), permutes are done. finish() receives the remote values and
+/// scatters them into the target vector. Must be finished before the next
+/// communication on the same communicator pair to keep FIFO tag matching
+/// aligned.
 template <class Scalar, class LO>
 class ImportHandle {
  public:
@@ -42,15 +42,15 @@ class ImportHandle {
   ImportHandle(const ImportHandle&) = delete;
   ImportHandle& operator=(const ImportHandle&) = delete;
 
-  /// Blocks until every posted halo receive has arrived and scatters the
-  /// values to their target slots. May be called once; the destructor of
-  /// an unfinished handle requeues the already-arrived messages (see
-  /// PendingRecv), so an exception path does not lose data.
+  /// Receives each sending neighbour's pack in rank order (a blocking
+  /// receive per neighbour) and scatters the values to their target slots.
+  /// May be called once.
   void finish() {
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      const auto& lids = *recv_lids_[i];
-      std::vector<Scalar> vals =
-          comm::PendingRecv::take<Scalar>(pending_[i].wait());
+    for (std::size_t r = 0; r < recv_lids_->size(); ++r) {
+      const auto& lids = (*recv_lids_)[r];
+      if (lids.empty()) continue;
+      std::vector<Scalar> vals = comm_->recv_vector_internal<Scalar>(
+          static_cast<int>(r), comm::kImportTag);
       require<CommError>(lids.size() == vals.size(),
                          "Import::finish: plan/payload size mismatch");
       for (std::size_t k = 0; k < lids.size(); ++k) {
@@ -58,19 +58,20 @@ class ImportHandle {
         slot = (mode_ == CombineMode::kAdd) ? slot + vals[k] : vals[k];
       }
     }
-    pending_.clear();
   }
 
  private:
   template <class L, class G>
   friend class Import;
-  ImportHandle(std::span<Scalar> target, CombineMode mode)
-      : target_(target), mode_(mode) {}
+  ImportHandle(comm::Communicator& comm,
+               const std::vector<std::vector<LO>>& recv_lids,
+               std::span<Scalar> target, CombineMode mode)
+      : comm_(&comm), recv_lids_(&recv_lids), target_(target), mode_(mode) {}
 
+  comm::Communicator* comm_;
+  const std::vector<std::vector<LO>>* recv_lids_;  // the plan's, per source
   std::span<Scalar> target_;
   CombineMode mode_;
-  std::vector<comm::PendingRecv> pending_;          // one per sending rank
-  std::vector<const std::vector<LO>*> recv_lids_;   // target lids, parallel
 };
 
 template <class LO = std::int32_t, class GO = std::int64_t>
@@ -147,15 +148,13 @@ class Import {
     return n;
   }
 
-  /// Starts a forward application: posts one receive per sending neighbour
-  /// first (so arriving packs land in pre-posted handles instead of
-  /// queueing behind compute), then moves one pack per receiving neighbour
+  /// Starts a forward application: moves one pack per receiving neighbour
   /// into its envelope zero-copy, then handles the local permutes. The
-  /// remote values are scattered by ImportHandle::finish(); between begin
-  /// and finish the caller is free to compute on anything that does not
-  /// need them. Neighbour-only p2p on a reserved tag: ranks with no
-  /// overlap exchange nothing (the old all-to-all schedule posted O(p)
-  /// messages per rank regardless).
+  /// remote values are received and scattered by ImportHandle::finish();
+  /// between begin and finish the caller is free to compute on anything
+  /// that does not need them. Neighbour-only p2p on a reserved tag: ranks
+  /// with no overlap exchange nothing (the old all-to-all schedule posted
+  /// O(p) messages per rank regardless).
   template <class Scalar>
   ImportHandle<Scalar, LO> begin_apply(
       std::span<const Scalar> source_values, std::span<Scalar> target_values,
@@ -169,13 +168,6 @@ class Import {
     const int p = source_.comm().size();
     auto& comm = source_.comm();
 
-    ImportHandle<Scalar, LO> handle(target_values, mode);
-    for (int r = 0; r < p; ++r) {
-      const auto& lids = recv_lids_[static_cast<std::size_t>(r)];
-      if (lids.empty()) continue;
-      handle.pending_.push_back(comm.irecv_internal(r, comm::kImportTag));
-      handle.recv_lids_.push_back(&lids);
-    }
     for (int r = 0; r < p; ++r) {
       const auto& lids = send_lids_[static_cast<std::size_t>(r)];
       if (lids.empty()) continue;
@@ -191,7 +183,7 @@ class Import {
       const Scalar v = source_values[static_cast<std::size_t>(permute_src_[i])];
       slot = (mode == CombineMode::kAdd) ? slot + v : v;
     }
-    return handle;
+    return ImportHandle<Scalar, LO>(comm, recv_lids_, target_values, mode);
   }
 
   /// Applies the plan: target[plan] = source[plan]. Collective.

@@ -1,5 +1,6 @@
-// Exact counter claims (EXPERIMENTS.md E7, E13 and E19), pinned on small
-// worlds. Registered under the `claims` CTest label: `ctest -L claims`.
+// Exact counter claims (EXPERIMENTS.md E3, E7, E12, E13 and E19), pinned
+// on small worlds. Registered under the `claims` CTest label:
+// `ctest -L claims`.
 //
 // The control-plane worlds keep the library's wire protocol and lengthen
 // only the ack, reply and coalescing time windows, so a host stall can fire
@@ -14,6 +15,7 @@
 #include "comm/runner.hpp"
 #include "galeri/gallery.hpp"
 #include "odin/service.hpp"
+#include "odin/slicing.hpp"
 #include "precond/amg.hpp"
 #include "solvers/krylov.hpp"
 
@@ -22,6 +24,7 @@ namespace gl = pyhpc::galeri;
 namespace od = pyhpc::odin;
 namespace pp = pyhpc::precond;
 namespace sv = pyhpc::solvers;
+namespace tp = pyhpc::tpetra;
 
 using namespace std::chrono_literals;
 
@@ -169,5 +172,51 @@ TEST(SolverClaims, CgIterationsGrowWithTheGridAndAmgHoldsThemFlat) {
     });
     EXPECT_EQ(plain, c.plain) << "grid " << c.grid;
     EXPECT_EQ(amg, c.amg) << "grid " << c.grid;
+  }
+}
+
+// E12: the split-phase Import behind a distributed SpMV moves one
+// one-double pack each way across every rank boundary, 2·(p − 1) per
+// apply, and copies none of them. Ten applies of the 1D Laplacian.
+TEST(TransportClaims, SpmvHaloPacksAreMovedNotCopied) {
+  struct Case {
+    int ranks;
+    std::uint64_t messages;
+    std::uint64_t bytes;
+  };
+  for (const Case c : {Case{2, 20, 160}, Case{4, 60, 480}, Case{8, 140, 1120}}) {
+    const pc::CommStats s = pc::run_with_stats(c.ranks, [](pc::Communicator&
+                                                               comm) {
+      const auto a = gl::laplace1d(tp::Map<>::uniform(comm, 4096));
+      const gl::Vector x(a.domain_map(), 1.0);
+      gl::Vector y(a.range_map());
+      comm.barrier();
+      comm.stats().reset();
+      for (int rep = 0; rep < 10; ++rep) a.apply(x, y);
+    });
+    EXPECT_EQ(s.p2p_messages_sent, c.messages) << "p = " << c.ranks;
+    EXPECT_EQ(s.p2p_bytes_sent, c.bytes) << "p = " << c.ranks;
+    EXPECT_EQ(s.zero_copy_bytes, c.bytes) << "p = " << c.ranks;
+    EXPECT_EQ(s.bytes_copied, 0u) << "p = " << c.ranks;
+    EXPECT_EQ(s.collectives, 0u) << "p = " << c.ranks;
+  }
+}
+
+// E3: `y[1:] - y[:-1]` on a block array exchanges one double per rank
+// boundary, P − 1 halo messages of 8 bytes whatever n is.
+TEST(TransportClaims, ShiftedDiffHaloIsIndependentOfN) {
+  for (const od::index_t n : {od::index_t{1} << 16, od::index_t{1} << 18,
+                              od::index_t{1} << 21}) {
+    const pc::CommStats s = pc::run_with_stats(4, [n](pc::Communicator& comm) {
+      const auto dist = od::Distribution::block(comm, od::Shape({n}), 0);
+      const auto y = od::DistArray<double>::linspace(dist, 0.0, 1.0);
+      comm.barrier();
+      comm.stats().reset();
+      const auto dy = od::shifted_diff(y);
+      EXPECT_EQ(dy.shape().extent(0), n - 1);
+    });
+    EXPECT_EQ(s.p2p_messages_sent, 3u) << "n = " << n;
+    EXPECT_EQ(s.p2p_bytes_sent, 24u) << "n = " << n;
+    EXPECT_EQ(s.p2p_messages_received, 3u) << "n = " << n;
   }
 }

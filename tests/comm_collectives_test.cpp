@@ -476,11 +476,6 @@ TYPED_TEST(ByteCore, ReductionsAndScansMatchSerialReference) {
           EXPECT_EQ(got, expect) << "allreduce p=" << p << " n=" << n
                                  << " " << pc::collective_algo_name(algo);
         }
-        std::vector<T> nb(n);
-        auto fut = comm.iallreduce(std::span<const T>(mine),
-                                   std::span<T>(nb), add);
-        fut.wait();
-        EXPECT_EQ(nb, expect) << "iallreduce p=" << p << " n=" << n;
         for (CollectiveAlgo algo :
              {CollectiveAlgo::kAuto, CollectiveAlgo::kLinear}) {
           const int root = p - 1;

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -338,6 +339,32 @@ TEST(DeadlockWatchdog, DoesNotFireOnHealthyTraffic) {
       }
     }
   });
+}
+
+// ---------------------------------------------------------------------------
+// Abort propagation into split() children
+// ---------------------------------------------------------------------------
+
+// A rank that throws aborts its world, and the abort reaches every context
+// split off it (children of children too): a sibling blocked in a child's
+// collective wakes up and comm::run rethrows the root cause instead of
+// hanging. Ranks {1, 2} form the child; rank 2 throws before the barrier
+// that rank 1 has entered.
+TEST(AbortPropagation, SiblingBlockedInSplitChildWakesWhenARankThrows) {
+  for (int depth : {1, 2}) {
+    EXPECT_THROW(
+        pc::run(3,
+                [depth](pc::Communicator& comm) {
+                  pc::Communicator child = comm;
+                  for (int d = 0; d < depth; ++d) {
+                    child = child.split(comm.rank() == 0 ? 0 : 1, comm.rank());
+                  }
+                  if (comm.rank() == 2) throw std::runtime_error("rank 2 fails");
+                  child.barrier();
+                }),
+        std::runtime_error)
+        << "split depth " << depth;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,7 @@
 // stack. Each seed deterministically derives a scenario mix — collective
 // storms under delay/duplicate noise, resilient CG runs with a drop,
 // delay, or kill rule armed mid-solve, and zero-copy transport pipelines
-// (moved sends, rendezvous handoffs, split-phase SpMV overlap) under the
-// same noise — and asserts exact values (storms, pipelines) or the
+// (moved sends, split-phase SpMV overlap) under the same noise — and asserts exact values (storms, pipelines) or the
 // solution oracle (solves). Any seed that fails prints a one-line replay
 // recipe.
 //
@@ -173,10 +172,9 @@ void resilient_cg(std::uint64_t seed) {
   });
 }
 
-// Scenario C: zero-copy pipeline — moved-vector ring shifts, rendezvous
-// isends (the eager threshold is dropped to 64 bytes so every ring payload
-// takes the handoff path), and the split-phase SpMV halo overlap, all under
-// delay/duplicate noise with exact value assertions.
+// Scenario C: zero-copy pipeline — moved-vector ring shifts and the
+// split-phase SpMV halo overlap, both under delay/duplicate noise with
+// exact value assertions.
 void zero_copy_pipeline(std::uint64_t seed) {
   pu::SplitMix64 rng(seed);
   auto inj = std::make_shared<pc::FaultInjector>(seed);
@@ -198,7 +196,6 @@ void zero_copy_pipeline(std::uint64_t seed) {
   pc::CommConfig cfg;
   cfg.injector = inj;
   cfg.recv_timeout = 5000ms;
-  cfg.eager_threshold = 64;
   pc::run(nranks, cfg, [&](pc::Communicator& comm) {
     const int p = comm.size();
     const int next = (comm.rank() + 1) % p;
@@ -206,30 +203,13 @@ void zero_copy_pipeline(std::uint64_t seed) {
     for (int i = 0; i < rounds; ++i) {
       // Fresh tags per round: a duplicated envelope must never be matched
       // by the next round's receive.
-      const int ring_tag = 100 + 2 * i;
-      const int rv_tag = 101 + 2 * i;
+      const int ring_tag = 100 + i;
       std::vector<int> ring(32, comm.rank() * 1000 + i);
       comm.send(std::move(ring), next, ring_tag);
       auto got = comm.recv_vector<int>(prev, ring_tag);
       check(got.size() == 32 && got.front() == prev * 1000 + i &&
                 got.back() == prev * 1000 + i,
             "zero-copy ring payload drifted");
-      std::vector<double> big(64, 0.5 * i);
-      auto fut = comm.isend(std::span<const double>(big), next, rv_tag);
-      auto rv = comm.recv_vector<double>(prev, rv_tag);
-      // A duplicated rendezvous envelope keeps a live reference to the
-      // sender's buffer until it is drained, so the sender's wait() below
-      // never ends unless we consume the second copy too. The injector
-      // pushes duplicate and original as two separate mailbox pushes, so
-      // probe only after the barrier guarantees every isend has returned
-      // (both pushes done) — probing earlier races with the second push.
-      comm.barrier();
-      while (comm.iprobe(prev, rv_tag)) {
-        (void)comm.recv_vector<double>(prev, rv_tag);
-      }
-      fut.wait();
-      check(rv.size() == 64 && rv[13] == 0.5 * i,
-            "rendezvous payload drifted");
     }
     // Split-phase SpMV: the 1D Laplacian applied to ones is zero on the
     // interior and one at the two global ends.
